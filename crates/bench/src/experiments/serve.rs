@@ -12,7 +12,9 @@
 //! Prometheus text) from a running server. `serve-smoke` is the
 //! self-driving load test: it spins a pooled server thread over a
 //! dedicated cache instance (so the measured hit rate is a property of
-//! the batch alone, give or take cold-key races between pool workers),
+//! the batch alone, give or take cold-key races between pool workers)
+//! and a dedicated `tpe-obs` registry (so its `metrics` polls count
+//! this server's requests alone, whatever else the process serves),
 //! fires a mixed 1000-query batch (sweep/pareto ops included), verifies
 //! the batched responses byte-identical to sequential single-query
 //! replies, cross-checks the server's own `tpe-obs` request accounting
@@ -35,11 +37,11 @@ const HIT_RATE_MIN_QUERIES: usize = 500;
 use tpe_dse::space::default_workloads;
 use tpe_dse::{merge_shard_responses, DseOps, SweepWorkload};
 use tpe_engine::serve::{
-    parse_flat_object, query_batch, serve_with, serve_with_hook, BatchOps, JsonValue, ServeConfig,
-    ServeObs, SnapshotOps,
+    parse_flat_object, query_batch, serve_with_hook, serve_with_obs, BatchOps, JsonValue,
+    ServeConfig, ServeObs, SnapshotOps,
 };
 use tpe_engine::{roster, snapshot, CacheStats, CycleModel, EngineCache};
-use tpe_obs::HistogramSnapshot;
+use tpe_obs::{HistogramSnapshot, Registry};
 
 /// Minimal flag parser shared by the serving commands (and the
 /// snapshot smoke next door).
@@ -741,7 +743,12 @@ fn try_serve_smoke(args: &[String]) -> Result<String, String> {
     // cold key and both count a miss, so the counters may wobble by a
     // few cold-start misses run-to-run; the >90% bar has ample slack.)
     let cache: &'static EngineCache = &*Box::leak(Box::new(EngineCache::new()));
-    let server = std::thread::spawn(move || serve_with(listener, cache, &DseOps, config));
+    // A dedicated registry too: the `metrics` polls then count this
+    // server's requests only, not those of any other server running in
+    // the same process.
+    let registry: &'static Registry = &*Box::leak(Box::new(Registry::new()));
+    let obs: &'static ServeObs = &*Box::leak(Box::new(ServeObs::in_registry(registry)));
+    let server = std::thread::spawn(move || serve_with_obs(listener, cache, &DseOps, config, obs));
 
     // Whatever happens mid-smoke, the server must come down: run the
     // drive phase, then always send shutdown and join before reporting.
@@ -1041,6 +1048,7 @@ fn answer_locally(requests: &[String], cache: &EngineCache) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpe_engine::serve::serve_with;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()

@@ -73,11 +73,16 @@
 //! isolated one for exact-count tests): per-op request counters,
 //! queue-wait vs evaluation latency histograms, an in-flight gauge, and
 //! counters for drained / over-long / non-UTF-8 / unparseable lines.
-//! The `metrics` op snapshots the registry — with the serving cache's
-//! counters folded in — as a flat JSON object, or as Prometheus text
-//! exposition with `"format":"prometheus"`. Histograms travel as log2
-//! bucket-count CSVs, so clients can diff two snapshots and compute
-//! windowed percentiles server-side data alone. The `stats` op
+//! The `metrics` op snapshots the registry of the server's [`ServeObs`]
+//! (global by default, so `serve_with`/`repro serve` report the
+//! process-wide registry) — with the serving cache's counters folded in
+//! — as a flat JSON object, or as Prometheus text exposition with
+//! `"format":"prometheus"`. A server over an isolated registry thus
+//! reports its own `serve_*` counters; the evaluator, dse-slice and
+//! snapshot instruments still record into the global registry, so its
+//! reply carries `serve_*` plus the folded `cache_*` only. Histograms
+//! travel as log2 bucket-count CSVs, so clients can diff two snapshots
+//! and compute windowed percentiles server-side data alone. The `stats` op
 //! additionally reports `since_*` cache-counter deltas over its own
 //! polling window plus process uptime (minus an optional caller-supplied
 //! monotonic `origin`). Both ops are stateful views of a running server,
@@ -504,7 +509,8 @@ pub fn handle_request_with(
     ops: &dyn BatchOps,
     default_model: CycleModel,
 ) -> (Vec<String>, bool) {
-    let (lines, is_shutdown, _) = handle_request_classified(line, cache, ops, default_model);
+    let (lines, is_shutdown, _) =
+        handle_request_classified(line, cache, ops, default_model, Registry::global());
     (lines, is_shutdown)
 }
 
@@ -522,12 +528,16 @@ pub enum RequestClass {
 }
 
 /// [`handle_request_with`], additionally returning the line's
-/// [`RequestClass`] from the same parse that evaluated it.
+/// [`RequestClass`] from the same parse that evaluated it. The `metrics`
+/// op snapshots `registry` — the serving instance's own (see
+/// [`ServeObs::registry`]); [`handle_request_with`] passes
+/// [`Registry::global`].
 pub fn handle_request_classified(
     line: &str,
     cache: &EngineCache,
     ops: &dyn BatchOps,
     default_model: CycleModel,
+    registry: &Registry,
 ) -> (Vec<String>, bool, RequestClass) {
     let fields = match parse_flat_object(line) {
         Ok(map) => Fields(map),
@@ -555,7 +565,7 @@ pub fn handle_request_classified(
         _ => RequestClass::Other,
     };
     let id = fields.uint_or("id", 0).unwrap_or(0);
-    match respond(&fields, cache, ops) {
+    match respond(&fields, cache, ops, registry) {
         Ok((bodies, is_shutdown)) => (
             bodies
                 .into_iter()
@@ -568,11 +578,13 @@ pub fn handle_request_classified(
     }
 }
 
-/// The op-specific response bodies (without the `id`/`ok` envelope).
+/// The op-specific response bodies (without the `id`/`ok` envelope);
+/// `metrics` snapshots `registry`.
 fn respond(
     fields: &Fields,
     cache: &EngineCache,
     ops: &dyn BatchOps,
+    registry: &Registry,
 ) -> Result<(Vec<String>, bool), String> {
     let cycle_model = resolve_cycle_model(fields)?;
     let eval = Evaluator::new(cache).with_cycle_model(cycle_model);
@@ -748,7 +760,7 @@ fn respond(
             ))
         }
         "metrics" => {
-            let mut snap = Registry::global().snapshot();
+            let mut snap = registry.snapshot();
             let s = cache.stats();
             snap.set_counter("cache_price_hits", s.price_hits);
             snap.set_counter("cache_price_misses", s.price_misses);
@@ -892,7 +904,10 @@ pub const COUNTED_OPS: [&str; 11] = [
     "stats", "sweep",
 ];
 
-/// Shared handles to the serve layer's metrics, resolved once per run.
+/// Shared handles to the serve layer's metrics, resolved once per run,
+/// plus the [`Registry`] they live in: a server's `metrics` op snapshots
+/// that registry, so an instance over an isolated registry reports its
+/// own counters on the wire, never another server's.
 ///
 /// Workers record per-op counters and the queue-wait/eval histograms
 /// *before* sending each reply toward the socket — so a `metrics`
@@ -901,7 +916,10 @@ pub const COUNTED_OPS: [&str; 11] = [
 /// handful of relaxed atomic RMWs per request: op classification rides
 /// on the handler's own parse ([`RequestClass`]), never a second one.
 #[derive(Debug)]
-pub struct ServeObs {
+pub struct ServeObs<'r> {
+    /// The registry the handles below were resolved in; the `metrics`
+    /// op snapshots it.
+    pub registry: &'r Registry,
     /// `serve_op_<name>` request counters, indexed as [`COUNTED_OPS`].
     pub op_requests: [Arc<Counter>; COUNTED_OPS.len()],
     /// `serve_op_other`: pool-processed requests with an unknown or
@@ -927,10 +945,12 @@ pub struct ServeObs {
     pub parse_errors: Arc<Counter>,
 }
 
-impl ServeObs {
-    /// Registers (or re-resolves) the serve metrics in `registry`.
-    pub fn in_registry(registry: &Registry) -> Self {
+impl<'r> ServeObs<'r> {
+    /// Registers (or re-resolves) the serve metrics in `registry`, and
+    /// keeps `registry` as the one the `metrics` op reports.
+    pub fn in_registry(registry: &'r Registry) -> Self {
         Self {
+            registry,
             op_requests: std::array::from_fn(|i| {
                 registry.counter(&format!("serve_op_{}", COUNTED_OPS[i]))
             }),
@@ -947,8 +967,8 @@ impl ServeObs {
     }
 
     /// The process-wide instance, over [`Registry::global`].
-    pub fn global() -> &'static ServeObs {
-        static OBS: OnceLock<ServeObs> = OnceLock::new();
+    pub fn global() -> &'static ServeObs<'static> {
+        static OBS: OnceLock<ServeObs<'static>> = OnceLock::new();
         OBS.get_or_init(|| ServeObs::in_registry(Registry::global()))
     }
 
@@ -1060,14 +1080,16 @@ pub fn serve_with(
 
 /// [`serve_with`], recording into an explicit [`ServeObs`] bundle instead
 /// of the process-wide one — exact-count metric tests hand an isolated
-/// [`Registry`]'s handles here so parallel test binaries cannot pollute
-/// each other's counters.
+/// [`Registry`]'s handles here so concurrent servers cannot pollute each
+/// other's counters. The `metrics` op snapshots that bundle's
+/// [`ServeObs::registry`], so the counters on the wire are this
+/// server's own.
 pub fn serve_with_obs(
     listener: TcpListener,
     cache: &EngineCache,
     ops: &dyn BatchOps,
     config: ServeConfig,
-    obs: &ServeObs,
+    obs: &ServeObs<'_>,
 ) -> std::io::Result<ServeOutcome> {
     serve_with_hook(listener, cache, ops, config, obs, None)
 }
@@ -1083,7 +1105,7 @@ pub fn serve_with_hook(
     cache: &EngineCache,
     ops: &dyn BatchOps,
     config: ServeConfig,
-    obs: &ServeObs,
+    obs: &ServeObs<'_>,
     after_request: Option<&(dyn Fn(u64) + Sync)>,
 ) -> std::io::Result<ServeOutcome> {
     let local = listener.local_addr()?;
@@ -1117,7 +1139,7 @@ pub fn serve_with_hook(
                 obs.queue_wait_ns.record_duration(submitted.elapsed());
                 let eval_start = Instant::now();
                 let (lines, _, class) =
-                    handle_request_classified(&line, cache, ops, config.cycle_model);
+                    handle_request_classified(&line, cache, ops, config.cycle_model, obs.registry);
                 // All metrics for this request land before its reply can
                 // reach the socket: a client that has read response N
                 // knows the counters cover requests 1..=N (and a
@@ -1241,7 +1263,7 @@ fn handle_connection(
     pool: &mpsc::Sender<Job>,
     config: ServeConfig,
     requests: &AtomicU64,
-    obs: &ServeObs,
+    obs: &ServeObs<'_>,
     notify_shutdown: &dyn Fn(),
 ) {
     let Ok(writer_stream) = stream.try_clone() else {
@@ -1988,8 +2010,10 @@ mod tests {
     #[test]
     fn request_classification_matches_counted_ops() {
         let cache = EngineCache::new();
-        let class =
-            |line: &str| handle_request_classified(line, &cache, &NoOps, CycleModel::Sampled).2;
+        let registry = Registry::new();
+        let class = |line: &str| {
+            handle_request_classified(line, &cache, &NoOps, CycleModel::Sampled, &registry).2
+        };
         let stats_idx = COUNTED_OPS.iter().position(|o| *o == "stats").unwrap();
         assert_eq!(
             class(r#"{"id":1,"op":"stats"}"#),
@@ -1999,7 +2023,6 @@ mod tests {
         assert_eq!(class(r#"{"id":1}"#), RequestClass::Other);
         assert_eq!(class("not json"), RequestClass::Malformed);
         // record_class ticks exactly the counters record_op used to.
-        let registry = Registry::new();
         let obs = ServeObs::in_registry(&registry);
         obs.record_class(RequestClass::Counted(stats_idx));
         obs.record_class(RequestClass::Other);

@@ -202,7 +202,8 @@ fn field_u64(reply: &str, key: &str) -> u64 {
 /// pool-processed requests, the queue-wait and eval histograms saw
 /// exactly one record per request, the in-flight gauge returns to zero,
 /// and the serving cache's hits + misses == lookups invariant holds as
-/// reported over the wire by the `metrics` op.
+/// reported over the wire by the `metrics` op — whose per-op counters
+/// come from the serving instance's own registry.
 #[test]
 fn observability_counters_stay_consistent_under_concurrent_load() {
     let cache: &'static EngineCache = &*Box::leak(Box::new(EngineCache::new()));
@@ -244,6 +245,16 @@ fn observability_counters_stay_consistent_under_concurrent_load() {
         field_u64(&metrics, "ctr_cache_price_lookups") > 0,
         "{metrics}"
     );
+    // The reply reflects the serving instance's own registry: its
+    // per-op counters are exactly this server's client requests (the
+    // poll excludes itself), whatever other servers in the process do.
+    for (op, want) in [("engine", 4 * 3), ("layer", 4 * 6), ("model", 4 * 3)] {
+        assert_eq!(
+            field_u64(&metrics, &format!("ctr_serve_op_{op}")),
+            want,
+            "op {op} over the wire: {metrics}"
+        );
+    }
 
     shutdown(&addr);
     handle.join().unwrap().expect("serve loop");
