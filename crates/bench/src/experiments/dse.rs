@@ -138,15 +138,15 @@ fn parse_options(args: &[String]) -> Result<DseOptions, String> {
     Ok(opts)
 }
 
-/// Warm-starts the global cache from a snapshot file when `--cache-load`
+/// Warm-starts `cache` from a snapshot file when `--cache-load`
 /// is given (missing file → note a cold run; corrupt file → hard error —
 /// a CI gate that silently ran cold would pass for the wrong reason).
 /// Returns the report note.
-pub(crate) fn cache_load_note(path: Option<&str>) -> Result<String, String> {
+pub(crate) fn cache_load_note(path: Option<&str>, cache: &EngineCache) -> Result<String, String> {
     let Some(path) = path else {
         return Ok(String::new());
     };
-    let info = tpe_engine::snapshot::load(EngineCache::global(), std::path::Path::new(path))
+    let info = tpe_engine::snapshot::load(cache, std::path::Path::new(path))
         .map_err(|e| format!("loading cache snapshot {path}: {e}"))?;
     Ok(match info {
         Some(info) => format!(
@@ -157,13 +157,13 @@ pub(crate) fn cache_load_note(path: Option<&str>) -> Result<String, String> {
     })
 }
 
-/// Saves the global cache to a snapshot file when `--cache-save` is
-/// given. Returns the report note.
-pub(crate) fn cache_save_note(path: Option<&str>) -> Result<String, String> {
+/// Saves `cache` to a snapshot file when `--cache-save` is given.
+/// Returns the report note.
+pub(crate) fn cache_save_note(path: Option<&str>, cache: &EngineCache) -> Result<String, String> {
     let Some(path) = path else {
         return Ok(String::new());
     };
-    let info = tpe_engine::snapshot::save(EngineCache::global(), std::path::Path::new(path))
+    let info = tpe_engine::snapshot::save(cache, std::path::Path::new(path))
         .map_err(|e| format!("saving cache snapshot {path}: {e}"))?;
     Ok(format!(
         "cache snapshot saved to {path} ({} entries, {} bytes)\n",
@@ -212,7 +212,7 @@ fn try_dse(args: &[String]) -> Result<String, String> {
     // `--cache-load` warm-starts the global cache the parallel run uses;
     // the serial reference below stays on an isolated cache, so the
     // reported 1-thread timing remains an honest cold figure either way.
-    let load_note = cache_load_note(opts.cache_load.as_deref())?;
+    let load_note = cache_load_note(opts.cache_load.as_deref(), EngineCache::global())?;
 
     // Serial reference on an isolated cache (honest cold timing), the
     // parallel run against the process-wide global cache every other
@@ -240,7 +240,7 @@ fn try_dse(args: &[String]) -> Result<String, String> {
         "parallel sweep diverged from the serial reference"
     );
 
-    let save_note = cache_save_note(opts.cache_save.as_deref())?;
+    let save_note = cache_save_note(opts.cache_save.as_deref(), EngineCache::global())?;
 
     let front = pareto_front_per_workload(&parallel.results, &opts.objectives);
     let csv = to_csv(&parallel.results, &front);

@@ -14,7 +14,7 @@
 use std::fmt::Write as _;
 
 use tpe_dse::emit::{model_csv, model_json};
-use tpe_engine::{CycleModel, SerialSampleCaps};
+use tpe_engine::{CycleModel, EngineCache, SerialSampleCaps};
 use tpe_pipeline::{run_grid, EngineSpec, GridConfig, ModelRun};
 use tpe_workloads::NetworkModel;
 
@@ -132,9 +132,14 @@ fn try_models(args: &[String]) -> Result<String, String> {
         return Err(format!("no engine matches `{}`", opts.arch_filter));
     }
 
-    // Both grid runs price engines through the process-wide cache, so a
-    // loaded snapshot warms the whole command.
-    let load_note = super::dse::cache_load_note(opts.cache_load.as_deref())?;
+    // Each grid runs over its own fresh cache, so the N-thread grid
+    // recomputes every record instead of reading the 1-thread grid's, and
+    // the equality check below compares two independent computations. A
+    // `--cache-load` snapshot warms the N-thread grid's cache, which is
+    // also the one `--cache-save` writes.
+    let serial_cache = EngineCache::new();
+    let parallel_cache = EngineCache::new();
+    let load_note = super::dse::cache_load_note(opts.cache_load.as_deref(), &parallel_cache)?;
 
     let caps = SerialSampleCaps {
         model: opts.cycle_model,
@@ -148,6 +153,7 @@ fn try_models(args: &[String]) -> Result<String, String> {
             seed: opts.seed,
             caps,
         },
+        &serial_cache,
     );
     let parallel = run_grid(
         &nets,
@@ -157,6 +163,7 @@ fn try_models(args: &[String]) -> Result<String, String> {
             seed: opts.seed,
             caps,
         },
+        &parallel_cache,
     );
     let csv = model_csv(&parallel.runs);
     assert_eq!(
@@ -164,7 +171,7 @@ fn try_models(args: &[String]) -> Result<String, String> {
         csv,
         "parallel model grid diverged from the serial reference"
     );
-    let save_note = super::dse::cache_save_note(opts.cache_save.as_deref())?;
+    let save_note = super::dse::cache_save_note(opts.cache_save.as_deref(), &parallel_cache)?;
 
     if let Some(path) = &opts.out_csv {
         std::fs::write(path, &csv).map_err(|e| format!("writing {path}: {e}"))?;

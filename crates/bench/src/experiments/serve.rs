@@ -38,7 +38,7 @@ use tpe_dse::space::default_workloads;
 use tpe_dse::{merge_shard_responses, DseOps, SweepWorkload};
 use tpe_engine::serve::{
     parse_flat_object, query_batch, serve_with_hook, serve_with_obs, BatchOps, JsonValue,
-    ServeConfig, ServeObs, SnapshotOps,
+    ServeConfig, ServeObs, SnapshotOps, SERVE_CACHE_ENTRIES_PER_MAP,
 };
 use tpe_engine::{roster, snapshot, CacheStats, CycleModel, EngineCache};
 use tpe_obs::{HistogramSnapshot, Registry};
@@ -104,7 +104,9 @@ fn serve_config(
 /// [--max-line-bytes N] [--cycle-model sampled|analytic]
 /// [--cache-snapshot F.bin] [--snapshot-every N]`; port 0 binds an
 /// ephemeral port). Prints the bound address before serving, so callers
-/// can scrape it. `--cache-snapshot` warm-starts the global cache from
+/// can scrape it. The server evaluates through its own cache, bounded at
+/// [`SERVE_CACHE_ENTRIES_PER_MAP`] entries per map (a fixed capacity, not
+/// a flag). `--cache-snapshot` warm-starts that cache from
 /// the snapshot file (missing file → cold start; corrupt file → warn and
 /// start cold), enables the `snapshot` op against that path, saves every
 /// `--snapshot-every` requests, and always saves once more on clean
@@ -153,7 +155,7 @@ fn try_serve(args: &[String]) -> Result<String, String> {
         return Err("--snapshot-every needs --cache-snapshot".into());
     }
 
-    let cache = EngineCache::global();
+    let cache = &EngineCache::bounded(SERVE_CACHE_ENTRIES_PER_MAP);
     let warm_note = match &snapshot_path {
         Some(path) => match snapshot::load(cache, path) {
             Ok(Some(info)) => format!(
@@ -188,11 +190,12 @@ fn try_serve(args: &[String]) -> Result<String, String> {
     println!(
         "repro serve listening on {addr} ({} worker(s), max line {} bytes; NDJSON; \
          ops: engine|layer|metrics|model|roster|stats{}|shutdown; \
-         default cycle model {}{warm_note})",
+         default cycle model {}; cache {} entries per map{warm_note})",
         config.effective_threads(),
         config.max_line_bytes,
         ops.op_names(),
         config.cycle_model.name(),
+        SERVE_CACHE_ENTRIES_PER_MAP,
     );
     std::io::stdout().flush().ok();
     let outcome = match (&snapshot_path, snapshot_every) {

@@ -9,7 +9,7 @@
 
 use tpe_dse::emit::{model_csv, to_csv};
 use tpe_dse::{pareto_front_per_workload, sweep, DesignSpace, Objective, SweepConfig};
-use tpe_engine::{EngineSpec, Evaluator};
+use tpe_engine::{EngineCache, EngineSpec, Evaluator};
 use tpe_pipeline::{run_grid, GridConfig};
 use tpe_workloads::NetworkModel;
 
@@ -156,6 +156,7 @@ fn repro_models_full_grid_csv_matches_pre_refactor_snapshot() {
             seed: 42,
             ..GridConfig::default()
         },
+        EngineCache::global(),
     );
     let csv = model_csv(&outcome.runs);
     assert_lines_identical(

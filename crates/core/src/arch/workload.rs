@@ -21,7 +21,7 @@
 use super::designs::PeStyle;
 use super::{ArchKind, ArchModel};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::{RngCore, RngExt, SeedableRng};
 use tpe_arith::encode::Encoder;
 use tpe_sim::array::{DenseArray, SystolicArray};
 use tpe_sim::BitsliceConfig;
@@ -110,53 +110,75 @@ impl Default for SerialSampleCaps {
     }
 }
 
-/// Gaussian-weighted digit-count histogram of `encoder` on max-abs-
+/// Digit-count statistics of one (encoder, width): the Gaussian-weighted
+/// histogram and the table-driven sampler built from its CDF.
+#[derive(Debug)]
+struct DigitStats {
+    /// Unnormalized `P(NumPPs = j)` weights, `j` in `0..=a_bits`.
+    probs: Vec<f64>,
+    /// Sum of `probs`.
+    total: f64,
+    /// Inverse-CDF sampler over `probs / total`.
+    sampler: DigitSampler,
+}
+
+/// Gaussian-weighted digit-count statistics of `encoder` on max-abs-
 /// quantized N(0, 1) data at `a_bits` operand width: unnormalized
 /// `P(NumPPs = j)` weights plus their total (index range `0..=a_bits` —
-/// radix-2 bit-serial produces one digit per bit, the worst case). The
-/// single source of truth for both the sampling CDF and the
-/// effective-NumPPs statistic.
+/// radix-2 bit-serial produces one digit per bit, the worst case), and
+/// the [`DigitSampler`] over them. The single source of truth for the
+/// sampler, the effective-NumPPs statistic and the analytic pmf.
 ///
 /// The histogram is a pure function of (encoder, width) but costs a full
 /// range enumeration (2^16 encodes at W16), so it is memoized
 /// process-wide on the encoder's stable name — memoization can never
-/// change values, only skip recomputation.
-fn digit_count_weights(encoder: &dyn Encoder, a_bits: u32) -> (Vec<f64>, f64) {
+/// change values, only skip recomputation. A miss computes under the
+/// write lock, so concurrent first uses of one width wait for a single
+/// enumeration instead of each running their own; the memo holds at most
+/// one entry per (encoder, width), leaked to give `'static` borrows.
+fn digit_stats(encoder: &dyn Encoder, a_bits: u32) -> &'static DigitStats {
     use std::collections::HashMap;
     use std::sync::{OnceLock, RwLock};
-    type WeightMemo = RwLock<HashMap<(&'static str, u32), (Vec<f64>, f64)>>;
-    static MEMO: OnceLock<WeightMemo> = OnceLock::new();
+    type StatsMemo = RwLock<HashMap<(&'static str, u32), &'static DigitStats>>;
+    static MEMO: OnceLock<StatsMemo> = OnceLock::new();
     let memo = MEMO.get_or_init(|| RwLock::new(HashMap::new()));
     let key = (encoder.name(), a_bits);
-    if let Some(hit) = memo.read().expect("weights memo poisoned").get(&key) {
-        return hit.clone();
-    }
-
-    let max = (1i64 << (a_bits - 1)) - 1;
-    // The INT8 pipeline's effective scale: 127 / (max|z| ≈ 4.2σ) = 30, so
-    // σ = max · 30 / 127 (exactly 30.0 at the default 8-bit width).
-    let sigma_int = max as f64 * 30.0 / 127.0;
-    let max_digits = a_bits as usize;
-    let mut probs = vec![0f64; max_digits + 1];
-    let mut total = 0f64;
-    for v in -max..=max {
-        let w = (-0.5 * (v as f64 / sigma_int).powi(2)).exp();
-        let n = encoder.num_pps(v, a_bits).min(max_digits);
-        probs[n] += w;
-        total += w;
+    if let Some(&hit) = memo.read().expect("digit memo poisoned").get(&key) {
+        return hit;
     }
     memo.write()
-        .expect("weights memo poisoned")
+        .expect("digit memo poisoned")
         .entry(key)
-        .or_insert((probs, total))
-        .clone()
+        .or_insert_with(|| Box::leak(Box::new(DigitStats::of(encoder, a_bits))))
 }
 
-/// Per-operand digit-count distribution of `encoder`-encoded,
-/// max-abs-quantized N(0, 1) data at `a_bits` width, as a cumulative
-/// table.
-fn digit_count_cdf(encoder: &dyn Encoder, a_bits: u32) -> Vec<f64> {
-    let (probs, total) = digit_count_weights(encoder, a_bits);
+impl DigitStats {
+    fn of(encoder: &dyn Encoder, a_bits: u32) -> Self {
+        let max = (1i64 << (a_bits - 1)) - 1;
+        // The INT8 pipeline's effective scale: 127 / (max|z| ≈ 4.2σ) = 30,
+        // so σ = max · 30 / 127 (exactly 30.0 at the default 8-bit width).
+        let sigma_int = max as f64 * 30.0 / 127.0;
+        let max_digits = a_bits as usize;
+        let mut probs = vec![0f64; max_digits + 1];
+        let mut total = 0f64;
+        for v in -max..=max {
+            let w = (-0.5 * (v as f64 / sigma_int).powi(2)).exp();
+            let n = encoder.num_pps(v, a_bits).min(max_digits);
+            probs[n] += w;
+            total += w;
+        }
+        let sampler = DigitSampler::from_cdf(&cdf_of(&probs, total));
+        Self {
+            probs,
+            total,
+            sampler,
+        }
+    }
+}
+
+/// Cumulative table of a weight histogram: running sums of `w / total`,
+/// with the last entry pinned to exactly 1.0 so every uniform draw lands.
+fn cdf_of(probs: &[f64], total: f64) -> Vec<f64> {
     let mut cdf = vec![0f64; probs.len()];
     let mut acc = 0.0;
     for (i, p) in probs.iter().enumerate() {
@@ -165,6 +187,59 @@ fn digit_count_cdf(encoder: &dyn Encoder, a_bits: u32) -> Vec<f64> {
     }
     *cdf.last_mut().expect("non-empty cdf") = 1.0;
     cdf
+}
+
+/// log2 of the guide table's bucket count.
+const GUIDE_BITS: u32 = 10;
+
+/// Bits of a uniform draw: the 53-bit mantissa `rng.random::<f64>()` uses.
+const DRAW_BITS: u32 = 53;
+
+/// Table-driven inverse-CDF sampler for the per-operand digit count.
+///
+/// The float form draws `u = (w >> 11) · 2⁻⁵³` from a 64-bit word `w` and
+/// walks the CDF while `cdf[n] < u`. With `y = w >> 11` and integer
+/// thresholds `T[j] = ⌊cdf[j] · 2⁵³⌋`, `cdf[j] < y · 2⁻⁵³ ⇔ T[j] < y`
+/// exactly (scaling by a power of two is exact, and `x < y ⇔ ⌊x⌋ < y` for
+/// integer `y`), so the integer walk returns the same count for every
+/// word. A 2¹⁰-bucket guide table indexed by the top bits of `y` starts
+/// the walk at the answer for the bucket's lowest word; the count is
+/// non-decreasing in `y`, so the walk only steps forward, and only in the
+/// few buckets a threshold falls inside.
+#[derive(Debug)]
+struct DigitSampler {
+    /// `T[j] = ⌊cdf[j] · 2⁵³⌋`; the last is 2⁵³, above every `y`.
+    thresholds: Box<[u64]>,
+    /// Digit count drawn for the lowest `y` of each bucket.
+    guide: Box<[u8; 1 << GUIDE_BITS]>,
+}
+
+impl DigitSampler {
+    fn from_cdf(cdf: &[f64]) -> Self {
+        let scale = (1u64 << DRAW_BITS) as f64;
+        let thresholds: Box<[u64]> = cdf.iter().map(|&c| (c * scale).floor() as u64).collect();
+        let mut guide = Box::new([0u8; 1 << GUIDE_BITS]);
+        for (bucket, g) in guide.iter_mut().enumerate() {
+            let y = (bucket as u64) << (DRAW_BITS - GUIDE_BITS);
+            let n = thresholds
+                .iter()
+                .position(|&t| t >= y)
+                .expect("the last threshold is 2^53");
+            *g = u8::try_from(n).expect("digit counts fit a byte");
+        }
+        Self { thresholds, guide }
+    }
+
+    /// The digit count the random word `word` draws.
+    #[inline]
+    fn draw(&self, word: u64) -> u64 {
+        let y = word >> (64 - DRAW_BITS);
+        let mut n = usize::from(self.guide[(y >> (DRAW_BITS - GUIDE_BITS)) as usize]);
+        while self.thresholds[n] < y {
+            n += 1;
+        }
+        n as u64
+    }
 }
 
 /// Expected digits per operand of `encoder` on quantized-normal INT8 data
@@ -178,13 +253,14 @@ pub fn effective_numpps(encoder: &dyn Encoder) -> f64 {
 /// axis's serial cost law (digit slots scale with `a_bits`, so expected
 /// digits — and serial cycles/MAC — grow roughly linearly with width).
 pub fn effective_numpps_at(encoder: &dyn Encoder, a_bits: u32) -> f64 {
-    let (probs, total) = digit_count_weights(encoder, a_bits);
-    probs
+    let stats = digit_stats(encoder, a_bits);
+    stats
+        .probs
         .iter()
         .enumerate()
         .map(|(n, w)| n as f64 * w)
         .sum::<f64>()
-        / total
+        / stats.total
 }
 
 /// Result of running one layer on one architecture.
@@ -293,6 +369,22 @@ pub fn sample_serial_cycles(
     seed: u64,
     caps: SerialSampleCaps,
 ) -> SerialCycleStats {
+    let stats = digit_stats(encoder, a_bits);
+    sample_serial_cycles_with(cfg, layer, seed, caps, |rng| {
+        stats.sampler.draw(rng.next_u64())
+    })
+}
+
+/// The sampling loop of [`sample_serial_cycles`], generic over how one
+/// operand's digit count is drawn from the RNG (the table-driven sampler
+/// in production, the float CDF walk as the test oracle).
+fn sample_serial_cycles_with(
+    cfg: &BitsliceConfig,
+    layer: &LayerShape,
+    seed: u64,
+    caps: SerialSampleCaps,
+    draw: impl Fn(&mut StdRng) -> u64,
+) -> SerialCycleStats {
     // Multiplicand matrix: the operand that gets encoded. Weights for
     // conv/linear layers (rows = output features), cached K/V rows for
     // attention. Heuristic: the larger non-reduction dim indexes it.
@@ -308,7 +400,6 @@ pub fn sample_serial_cycles(
     let sampled = rounds.min(caps.max_rounds).min(budget_rounds);
     let scale = rounds as f64 / sampled as f64;
 
-    let cdf = digit_count_cdf(encoder, a_bits);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut busy = vec![0f64; cfg.mp];
     let mut cycles = 0f64;
@@ -317,12 +408,7 @@ pub fn sample_serial_cycles(
         for b in busy.iter_mut() {
             let mut t = 0u64;
             for _ in 0..ops_per_round {
-                let u: f64 = rng.random();
-                let mut n = 0u64;
-                while cdf[n as usize] < u {
-                    n += 1;
-                }
-                t += n;
+                t += draw(&mut rng);
             }
             *b += t as f64;
             round_max = round_max.max(t as f64);
@@ -343,8 +429,8 @@ pub fn sample_serial_cycles(
 /// Normalized per-operand digit-count pmf (`P(NumPPs = j)`, `j` in
 /// `0..=a_bits`), derived from the memoized weight histogram.
 fn digit_count_pmf(encoder: &dyn Encoder, a_bits: u32) -> Vec<f64> {
-    let (probs, total) = digit_count_weights(encoder, a_bits);
-    probs.iter().map(|w| w / total).collect()
+    let stats = digit_stats(encoder, a_bits);
+    stats.probs.iter().map(|w| w / stats.total).collect()
 }
 
 /// Mean and variance of a small non-negative integer pmf indexed by value.
@@ -588,10 +674,19 @@ pub fn equal_area_lane_scale(target: &ArchModel) -> f64 {
 /// enhances acceleration". Zero operands are skipped entirely by the
 /// prefetcher (0 cycles).
 pub fn cycles_per_mac_with_zeros(arch: &ArchModel, zero_frac: f64, seed: u64) -> f64 {
-    assert!((0.0..=1.0).contains(&zero_frac));
     let cfg = arch.bitslice_config();
-    let encoder = cfg.encoding.encoder();
-    let cdf = digit_count_cdf(encoder.as_ref(), 8);
+    let stats = digit_stats(cfg.encoding.encoder().as_ref(), 8);
+    zero_skip_cycles_per_mac_with(zero_frac, seed, |rng| stats.sampler.draw(rng.next_u64()))
+}
+
+/// The sampling loop of [`cycles_per_mac_with_zeros`], generic over the
+/// digit-count draw like [`sample_serial_cycles_with`].
+fn zero_skip_cycles_per_mac_with(
+    zero_frac: f64,
+    seed: u64,
+    draw: impl Fn(&mut StdRng) -> u64,
+) -> f64 {
+    assert!((0.0..=1.0).contains(&zero_frac));
     let mut rng = StdRng::seed_from_u64(seed);
     let samples = 200_000usize;
     let mut total = 0u64;
@@ -599,12 +694,7 @@ pub fn cycles_per_mac_with_zeros(arch: &ArchModel, zero_frac: f64, seed: u64) ->
         if rng.random::<f64>() < zero_frac {
             continue; // prefetcher skips the all-zero operand
         }
-        let u: f64 = rng.random();
-        let mut n = 0u64;
-        while cdf[n as usize] < u {
-            n += 1;
-        }
-        total += n;
+        total += draw(&mut rng);
     }
     total as f64 / samples as f64
 }
@@ -654,12 +744,12 @@ pub fn evaluate_network(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpe_arith::encode::SignedDigit;
+    use tpe_arith::encode::{EncodingKind, SignedDigit};
     use tpe_workloads::models;
 
     /// Test encoder with a *deterministic* digit count: every operand
     /// produces exactly `D` non-zero digits. Each `D` needs a distinct
-    /// static name because [`digit_count_weights`] memoizes on
+    /// static name because [`digit_stats`] memoizes on
     /// `encoder.name()` process-wide.
     struct ConstDigits<const D: usize>;
 
@@ -850,6 +940,175 @@ mod tests {
         }
         assert_eq!(CycleModel::parse("monte-carlo"), None);
         assert_eq!(CycleModel::default(), CycleModel::Sampled);
+    }
+
+    /// The float CDF walk the table-driven [`DigitSampler`] replaces — the
+    /// slow oracle: draw `u` exactly as `rng.random::<f64>()` does and
+    /// step while `cdf[n] < u`.
+    fn oracle_walk(cdf: &[f64], u: f64) -> u64 {
+        let mut n = 0usize;
+        while cdf[n] < u {
+            n += 1;
+        }
+        n as u64
+    }
+
+    fn oracle_cdf(encoder: &dyn Encoder, a_bits: u32) -> Vec<f64> {
+        let stats = digit_stats(encoder, a_bits);
+        cdf_of(&stats.probs, stats.total)
+    }
+
+    /// An RNG that yields one fixed word, so the oracle converts a chosen
+    /// word to `f64` through the real `random::<f64>()` path.
+    struct Word(u64);
+
+    impl RngCore for Word {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    const WIDTHS: [u32; 3] = [4, 8, 16];
+
+    fn assert_word_matches_oracle(encoder: &dyn Encoder, a_bits: u32, word: u64) {
+        let cdf = oracle_cdf(encoder, a_bits);
+        let expected = oracle_walk(&cdf, Word(word).random::<f64>());
+        let got = digit_stats(encoder, a_bits).sampler.draw(word);
+        assert_eq!(
+            got,
+            expected,
+            "{} at W{a_bits}: word {word:#x}",
+            encoder.name()
+        );
+    }
+
+    /// Checks `DigitSampler::from_cdf(cdf)` against the float walk on
+    /// adversarial words: one below, at and above every integer threshold
+    /// (where `⌊cdf·2⁵³⌋` rounding would show) and every guide-bucket edge
+    /// (where the walk starts), with all-zero and all-one discarded low
+    /// bits.
+    fn assert_sampler_matches_walk_at_edges(cdf: &[f64]) {
+        let sampler = DigitSampler::from_cdf(cdf);
+        let top = (1u64 << DRAW_BITS) - 1;
+        let mut ys: Vec<u64> = vec![0, top];
+        for &t in sampler.thresholds.iter() {
+            ys.extend([t.saturating_sub(1), t, t.saturating_add(1)]);
+        }
+        for bucket in 0..1u64 << GUIDE_BITS {
+            let edge = bucket << (DRAW_BITS - GUIDE_BITS);
+            ys.extend([edge.saturating_sub(1), edge, edge + 1]);
+        }
+        for y in ys.into_iter().filter(|&y| y <= top) {
+            for low in [0, (1u64 << (64 - DRAW_BITS)) - 1] {
+                let word = (y << (64 - DRAW_BITS)) | low;
+                let expected = oracle_walk(cdf, Word(word).random::<f64>());
+                assert_eq!(sampler.draw(word), expected, "{cdf:?}: word {word:#x}");
+            }
+        }
+    }
+
+    /// Every encoder × width's sampler agrees with the oracle at the
+    /// adversarial words.
+    #[test]
+    fn digit_sampler_matches_the_oracle_at_thresholds_and_bucket_edges() {
+        for kind in EncodingKind::ALL {
+            let encoder = kind.encoder();
+            for a_bits in WIDTHS {
+                assert_sampler_matches_walk_at_edges(&oracle_cdf(encoder.as_ref(), a_bits));
+            }
+        }
+    }
+
+    /// Synthetic tables the encoders never produce: thresholds exactly on
+    /// bucket edges (binary fractions), zero-probability counts (repeated
+    /// CDF values, including a zero first entry) and a running sum that
+    /// overshoots the pinned final 1.0.
+    #[test]
+    fn digit_sampler_matches_the_oracle_on_edge_aligned_tables() {
+        for cdf in [
+            vec![0.0, 0.25, 0.5, 1.0],
+            vec![0.0, 0.0, 0.125, 0.125, 0.75, 1.0],
+            vec![0.5, 0.5, 0.5, 1.0],
+            vec![1.0],
+            vec![0.3, 1.0000000000000002, 1.0],
+        ] {
+            assert_sampler_matches_walk_at_edges(&cdf);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random words draw the oracle's digit count for every encoder ×
+        /// width.
+        #[test]
+        fn digit_sampler_matches_the_oracle_on_random_words(
+            words in proptest::prelude::prop::collection::vec(0u64..=u64::MAX, 1..256),
+        ) {
+            for kind in EncodingKind::ALL {
+                for a_bits in WIDTHS {
+                    for &word in &words {
+                        assert_word_matches_oracle(kind.encoder().as_ref(), a_bits, word);
+                    }
+                }
+            }
+        }
+
+        /// Both call sites reproduce the oracle-driven loops exactly: the
+        /// same `SerialCycleStats` from `sample_serial_cycles`, the same
+        /// cycles/MAC from the zero-skip sampler.
+        #[test]
+        fn sampler_call_sites_match_the_oracle_loops(
+            enc_idx in 0usize..5,
+            width_idx in 0usize..3,
+            m in 1usize..300,
+            n in 1usize..300,
+            k in 1usize..200,
+            seed in 0u64..=u64::MAX,
+            zero_pct in 0u32..=100,
+        ) {
+            let kind = EncodingKind::ALL[enc_idx];
+            let encoder = kind.encoder();
+            let a_bits = WIDTHS[width_idx];
+            let cdf = oracle_cdf(encoder.as_ref(), a_bits);
+            let oracle = |rng: &mut StdRng| oracle_walk(&cdf, rng.random());
+            let cfg = opt4e().bitslice_config();
+            let layer = LayerShape::new("probe", m, n, k, 1);
+            let caps = SerialSampleCaps {
+                max_rounds: 6,
+                max_operands: 20_000,
+                model: CycleModel::Sampled,
+            };
+            proptest::prelude::prop_assert_eq!(
+                sample_serial_cycles(&cfg, encoder.as_ref(), a_bits, &layer, seed, caps),
+                sample_serial_cycles_with(&cfg, &layer, seed, caps, oracle)
+            );
+            let zero_frac = f64::from(zero_pct) / 100.0;
+            let sampler = &digit_stats(encoder.as_ref(), a_bits).sampler;
+            let fast = zero_skip_cycles_per_mac_with(zero_frac, seed, |rng| {
+                sampler.draw(rng.next_u64())
+            });
+            proptest::prelude::prop_assert_eq!(
+                fast.to_bits(),
+                zero_skip_cycles_per_mac_with(zero_frac, seed, oracle).to_bits()
+            );
+        }
+    }
+
+    /// The public zero-skip entry point is the table-driven loop at the
+    /// architecture's encoding and INT8 width.
+    #[test]
+    fn zero_skip_entry_point_matches_the_oracle() {
+        let arch = opt4e();
+        let cdf = oracle_cdf(arch.bitslice_config().encoding.encoder().as_ref(), 8);
+        for zero_frac in [0.0, 0.5] {
+            let oracle =
+                zero_skip_cycles_per_mac_with(zero_frac, 42, |rng| oracle_walk(&cdf, rng.random()));
+            assert_eq!(
+                cycles_per_mac_with_zeros(&arch, zero_frac, 42).to_bits(),
+                oracle.to_bits()
+            );
+        }
     }
 
     /// Network evaluation produces sane aggregates.

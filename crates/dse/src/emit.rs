@@ -381,7 +381,8 @@ mod tests {
             EngineSpec::dense(PeStyle::Opt1, ClassicArch::Tpu, 1.5),
             EngineSpec::dense(PeStyle::TraditionalMac, ClassicArch::Tpu, 2.0), // walls
         ];
-        let outcome = run_grid(&models, &engines, GridConfig::quick_test(1, 2));
+        let config = GridConfig::quick_test(1, 2);
+        let outcome = run_grid(&models, &engines, config, tpe_engine::EngineCache::global());
         let csv = model_csv(&outcome.runs);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], MODEL_CSV_HEADER);

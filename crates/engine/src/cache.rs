@@ -22,7 +22,14 @@
 //! All maps are sharded: each shard is an independent
 //! [`RwLock`]`<HashMap>` selected by key hash, so concurrent sweep workers
 //! and serve connections contend only when they touch the same shard, and
-//! reads (the overwhelming majority once warm) take a shared lock. A
+//! reads (the overwhelming majority once warm) take a shared lock. The
+//! four maps share one sharded memo type, which can also bound each shard
+//! ([`EngineCache::bounded`]) and evict by second chance (CLOCK): a hit
+//! sets the entry's reference bit under the read lock, and a full shard's
+//! insert sweeps a hand over the map's slots, clearing the bits of
+//! referenced entries, to the first unreferenced one. Entries start
+//! referenced, so none is evicted before the hand has passed it once.
+//! `repro serve` uses a bounded cache; sweeps and grids do not. A
 //! single process-wide instance ([`EngineCache::global`]) replaces the
 //! old per-sweep `EvalCache`: a `repro models` grid reuses synthesis the
 //! preceding `repro dse` sweep already paid for, and a long-running
@@ -34,7 +41,7 @@
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use tpe_arith::encode::EncodingKind;
@@ -570,16 +577,192 @@ impl CacheContents {
     }
 }
 
+/// One memoized value and its CLOCK reference bit (set on insert and by
+/// hits on the read-lock path, cleared by the eviction hand).
+#[derive(Debug)]
+struct Slot<V> {
+    value: V,
+    referenced: AtomicBool,
+}
+
+/// One lock shard of a [`Memo`]: the map plus the CLOCK hand of a
+/// bounded memo.
+#[derive(Debug)]
+struct Shard<K, V> {
+    map: HashMap<K, Slot<V>>,
+    /// Position of the hand in the map's slot order.
+    hand: usize,
+}
+
+impl<K: Hash + Eq + Clone, V> Shard<K, V> {
+    /// Rebuilds the map at the size `capacity` entries need, with the
+    /// same hasher, once it cannot take another entry without
+    /// reallocating. Evictions leave deleted-slot markers behind that use
+    /// up the table's free room; without the rebuild the next insert
+    /// would double the table, although a bounded shard never holds more
+    /// than `capacity` entries.
+    fn compact(&mut self, capacity: usize) {
+        if self.map.capacity() <= self.map.len() {
+            let hasher = self.map.hasher().clone();
+            let old = std::mem::replace(
+                &mut self.map,
+                HashMap::with_capacity_and_hasher(capacity, hasher),
+            );
+            self.map.extend(old);
+        }
+    }
+
+    /// Second-chance (CLOCK) eviction over the map's own slot order — the
+    /// clock face — so no second copy of the keys is kept: the hand
+    /// sweeps on from where it stopped, clearing the bits of referenced
+    /// entries, and removes the first entry whose bit is already clear.
+    /// Entries are inserted referenced, so each one survives at least one
+    /// pass of the hand, and one hit again since that pass survives the
+    /// next. Ends within two revolutions. A new entry takes the slot its
+    /// hash picks, wherever that is relative to the hand, and the slot
+    /// order follows the map's per-process hash seed, so which entry goes
+    /// can differ between runs; the values recomputed after an eviction
+    /// cannot.
+    fn evict_one(&mut self) {
+        loop {
+            let victim =
+                self.map
+                    .iter_mut()
+                    .enumerate()
+                    .skip(self.hand)
+                    .find_map(|(at, (key, slot))| {
+                        (!std::mem::take(slot.referenced.get_mut())).then(|| (at, key.clone()))
+                    });
+            match victim {
+                Some((at, key)) => {
+                    self.map.remove(&key);
+                    // The next entry now holds this position.
+                    self.hand = at;
+                    return;
+                }
+                None => self.hand = 0,
+            }
+        }
+    }
+}
+
+/// One sharded memo map: `SHARDS` independent `RwLock`ed shards selected
+/// by key hash, with an optional per-shard entry capacity. A bounded memo
+/// evicts by second chance (CLOCK); hits only set a reference bit, so a
+/// warm hit never takes the write lock.
+#[derive(Debug)]
+struct Memo<K, V> {
+    shards: [RwLock<Shard<K, V>>; SHARDS],
+    /// Entries per shard before eviction (`usize::MAX`: unbounded).
+    shard_capacity: usize,
+    evictions: AtomicU64,
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
+    fn new(shard_capacity: usize) -> Self {
+        Self {
+            shards: std::array::from_fn(|_| {
+                RwLock::new(Shard {
+                    map: HashMap::new(),
+                    hand: 0,
+                })
+            }),
+            shard_capacity,
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    fn bounded(&self) -> bool {
+        self.shard_capacity != usize::MAX
+    }
+
+    fn shard(&self, key: &K) -> &RwLock<Shard<K, V>> {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        &self.shards[(h.finish() as usize) % SHARDS]
+    }
+
+    /// The memoized value for `key`, marking it referenced.
+    fn get(&self, key: &K) -> Option<V> {
+        let shard = self.shard(key).read().expect("cache poisoned");
+        let slot = shard.map.get(key)?;
+        if self.bounded() && !slot.referenced.load(Ordering::Relaxed) {
+            slot.referenced.store(true, Ordering::Relaxed);
+        }
+        Some(slot.value.clone())
+    }
+
+    /// Inserts `value` unless `key` is already present (first insert
+    /// wins; values are deterministic, so the winner is identical) and
+    /// returns the stored value. A full bounded shard evicts one entry.
+    fn insert(&self, key: K, value: V) -> V {
+        let mut shard = self.shard(&key).write().expect("cache poisoned");
+        if let Some(slot) = shard.map.get(&key) {
+            return slot.value.clone();
+        }
+        if shard.map.len() >= self.shard_capacity {
+            shard.evict_one();
+            shard.compact(self.shard_capacity);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        let slot = Slot {
+            value: value.clone(),
+            referenced: AtomicBool::new(true),
+        };
+        shard.map.insert(key, slot);
+        value
+    }
+
+    fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.read().expect("cache poisoned").map.len())
+            .sum()
+    }
+
+    fn export(&self) -> Vec<(K, V)> {
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            let shard = shard.read().expect("cache poisoned");
+            out.extend(shard.map.iter().map(|(k, s)| (k.clone(), s.value.clone())));
+        }
+        out
+    }
+
+    fn occupancy(&self) -> MapOccupancy {
+        MapOccupancy {
+            entries: self.len(),
+            evictions: self.evictions.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Entries held and evictions made by one memo map.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MapOccupancy {
+    /// Entries currently memoized.
+    pub entries: usize,
+    /// Entries evicted to make room since the cache was built (always 0
+    /// for an unbounded cache).
+    pub evictions: u64,
+}
+
 /// Sharded concurrent memoization of pricing and cycle outcomes.
 ///
 /// `None` pricing values record corners where the design cannot close
 /// timing, so infeasibility is cached too.
+///
+/// [`EngineCache::new`] (and [`EngineCache::global`]) never evict: a
+/// sweep or grid holds every entry it computed. A long-running server
+/// builds its cache with [`EngineCache::bounded`], so clients sending
+/// ever-new requests cannot grow it without limit; an evicted entry is
+/// recomputed bit-identically on its next lookup.
 #[derive(Debug)]
 pub struct EngineCache {
-    records: [RwLock<HashMap<PeKey, Option<PeRecord>>>; SHARDS],
-    prices: [RwLock<HashMap<PriceKey, Option<EnginePrice>>>; SHARDS],
-    cycles: [RwLock<HashMap<CycleKey, SerialLayerRecord>>; SHARDS],
-    models: [RwLock<HashMap<ModelKey, ModelRecord>>; SHARDS],
+    records: Memo<PeKey, Option<PeRecord>>,
+    prices: Memo<PriceKey, Option<EnginePrice>>,
+    cycles: Memo<CycleKey, SerialLayerRecord>,
+    models: Memo<ModelKey, ModelRecord>,
     price_hits: AtomicU64,
     price_misses: AtomicU64,
     cycle_hits: AtomicU64,
@@ -597,11 +780,31 @@ pub struct EngineCache {
 
 impl Default for EngineCache {
     fn default() -> Self {
+        Self::with_shard_capacity(usize::MAX)
+    }
+}
+
+impl EngineCache {
+    /// An empty, isolated, unbounded cache (tests and honest cold-timing
+    /// runs).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty cache holding at most about `entries_per_map` entries in
+    /// each of its four maps: the capacity is split evenly over the
+    /// shards (at least one entry each), and a full shard evicts by
+    /// second chance.
+    pub fn bounded(entries_per_map: usize) -> Self {
+        Self::with_shard_capacity((entries_per_map / SHARDS).max(1))
+    }
+
+    fn with_shard_capacity(shard_capacity: usize) -> Self {
         Self {
-            records: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            prices: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            cycles: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            models: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            records: Memo::new(shard_capacity),
+            prices: Memo::new(shard_capacity),
+            cycles: Memo::new(shard_capacity),
+            models: Memo::new(shard_capacity),
             price_hits: AtomicU64::new(0),
             price_misses: AtomicU64::new(0),
             cycle_hits: AtomicU64::new(0),
@@ -614,18 +817,12 @@ impl Default for EngineCache {
             last_window: Mutex::new(CacheStats::default()),
         }
     }
-}
 
-fn shard_of(key: &impl Hash) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % SHARDS
-}
-
-impl EngineCache {
-    /// An empty, isolated cache (tests and honest cold-timing runs).
-    pub fn new() -> Self {
-        Self::default()
+    /// The most entries any one map can hold (`None`: unbounded).
+    pub fn capacity_per_map(&self) -> Option<usize> {
+        self.records
+            .bounded()
+            .then(|| self.records.shard_capacity * SHARDS)
     }
 
     /// The process-wide instance every default evaluation path shares.
@@ -645,19 +842,13 @@ impl EngineCache {
         key: PeKey,
         price: impl FnOnce() -> Option<PeRecord>,
     ) -> Option<PeRecord> {
-        let shard = &self.records[shard_of(&key)];
         self.price_lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = shard.read().expect("cache poisoned").get(&key) {
+        if let Some(rec) = self.records.get(&key) {
             self.price_hits.fetch_add(1, Ordering::Relaxed);
-            return *rec;
+            return rec;
         }
         self.price_misses.fetch_add(1, Ordering::Relaxed);
-        let rec = price();
-        *shard
-            .write()
-            .expect("cache poisoned")
-            .entry(key)
-            .or_insert(rec)
+        self.records.insert(key, price())
     }
 
     /// Returns the assembled engine price for `key`, running `assemble` on
@@ -673,22 +864,16 @@ impl EngineCache {
         key: PriceKey,
         assemble: impl FnOnce() -> Option<EnginePrice>,
     ) -> Option<EnginePrice> {
-        let shard = &self.prices[shard_of(&key)];
-        if let Some(price) = shard.read().expect("cache poisoned").get(&key) {
+        if let Some(price) = self.prices.get(&key) {
             // A derived-layer hit is one accounted lookup; a miss counts
             // nothing here — `assemble` consults `pe_record`, which does
             // the lookup *and* hit/miss accounting, keeping the
             // hits+misses == lookups invariant exact.
             self.price_lookups.fetch_add(1, Ordering::Relaxed);
             self.price_hits.fetch_add(1, Ordering::Relaxed);
-            return *price;
+            return price;
         }
-        let price = assemble();
-        *shard
-            .write()
-            .expect("cache poisoned")
-            .entry(key)
-            .or_insert(price)
+        self.prices.insert(key, assemble())
     }
 
     /// Returns the serial-cycle record for `key`, running `sample` on a
@@ -698,19 +883,13 @@ impl EngineCache {
         key: CycleKey,
         sample: impl FnOnce() -> SerialLayerRecord,
     ) -> SerialLayerRecord {
-        let shard = &self.cycles[shard_of(&key)];
         self.cycle_lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = shard.read().expect("cache poisoned").get(&key) {
+        if let Some(rec) = self.cycles.get(&key) {
             self.cycle_hits.fetch_add(1, Ordering::Relaxed);
-            return *rec;
+            return rec;
         }
         self.cycle_misses.fetch_add(1, Ordering::Relaxed);
-        let rec = sample();
-        *shard
-            .write()
-            .expect("cache poisoned")
-            .entry(key)
-            .or_insert(rec)
+        self.cycles.insert(key, sample())
     }
 
     /// Returns the whole-model record for `key`, running `assemble` (the
@@ -727,20 +906,13 @@ impl EngineCache {
         key: ModelKey,
         assemble: impl FnOnce() -> ModelRecord,
     ) -> ModelRecord {
-        let shard = &self.models[shard_of(&key)];
         self.model_lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = shard.read().expect("cache poisoned").get(&key) {
+        if let Some(rec) = self.models.get(&key) {
             self.model_hits.fetch_add(1, Ordering::Relaxed);
-            return rec.clone();
+            return rec;
         }
         self.model_misses.fetch_add(1, Ordering::Relaxed);
-        let rec = assemble();
-        shard
-            .write()
-            .expect("cache poisoned")
-            .entry(key)
-            .or_insert(rec)
-            .clone()
+        self.models.insert(key, assemble())
     }
 
     /// Counters at this instant.
@@ -775,25 +947,12 @@ impl EngineCache {
     /// *values* are exported — hit/miss counters describe this process's
     /// history, not the cache contents, so they stay behind.
     pub fn export(&self) -> CacheContents {
-        let mut out = CacheContents::default();
-        for shard in &self.records {
-            let map = shard.read().expect("cache poisoned");
-            out.records.extend(map.iter().map(|(k, v)| (*k, *v)));
+        CacheContents {
+            records: self.records.export(),
+            prices: self.prices.export(),
+            cycles: self.cycles.export(),
+            models: self.models.export(),
         }
-        for shard in &self.prices {
-            let map = shard.read().expect("cache poisoned");
-            out.prices.extend(map.iter().map(|(k, v)| (*k, *v)));
-        }
-        for shard in &self.cycles {
-            let map = shard.read().expect("cache poisoned");
-            out.cycles.extend(map.iter().map(|(k, v)| (*k, *v)));
-        }
-        for shard in &self.models {
-            let map = shard.read().expect("cache poisoned");
-            out.models
-                .extend(map.iter().map(|(k, v)| (k.clone(), v.clone())));
-        }
-        out
     }
 
     /// Bulk-inserts exported entries (a warm-start import). First insert
@@ -801,69 +960,53 @@ impl EngineCache {
     /// computed value is identical by determinism, so imports can never
     /// change results. Counters are untouched: imported entries surface
     /// as *hits* on their first lookup, which is what makes a
-    /// warm-from-snapshot replay read ≈100% hit rate.
+    /// warm-from-snapshot replay read ≈100% hit rate. A bounded cache
+    /// keeps at most its capacity, evicting as lookups would.
     pub fn import(&self, contents: CacheContents) {
         for (key, rec) in contents.records {
-            self.records[shard_of(&key)]
-                .write()
-                .expect("cache poisoned")
-                .entry(key)
-                .or_insert(rec);
+            self.records.insert(key, rec);
         }
         for (key, price) in contents.prices {
-            self.prices[shard_of(&key)]
-                .write()
-                .expect("cache poisoned")
-                .entry(key)
-                .or_insert(price);
+            self.prices.insert(key, price);
         }
         for (key, rec) in contents.cycles {
-            self.cycles[shard_of(&key)]
-                .write()
-                .expect("cache poisoned")
-                .entry(key)
-                .or_insert(rec);
+            self.cycles.insert(key, rec);
         }
         for (key, rec) in contents.models {
-            self.models[shard_of(&key)]
-                .write()
-                .expect("cache poisoned")
-                .entry(key)
-                .or_insert(rec);
+            self.models.insert(key, rec);
         }
     }
 
     /// Number of distinct PE/corner pairs priced.
     pub fn priced_len(&self) -> usize {
-        self.records
-            .iter()
-            .map(|s| s.read().expect("cache poisoned").len())
-            .sum()
+        self.records.len()
     }
 
     /// Number of distinct assembled engine prices memoized (the derived
     /// map over the synthesis records).
     pub fn prices_len(&self) -> usize {
-        self.prices
-            .iter()
-            .map(|s| s.read().expect("cache poisoned").len())
-            .sum()
+        self.prices.len()
     }
 
     /// Number of distinct serial-cycle evaluations memoized.
     pub fn cycles_len(&self) -> usize {
-        self.cycles
-            .iter()
-            .map(|s| s.read().expect("cache poisoned").len())
-            .sum()
+        self.cycles.len()
     }
 
     /// Number of distinct whole-model reports memoized.
     pub fn models_len(&self) -> usize {
-        self.models
-            .iter()
-            .map(|s| s.read().expect("cache poisoned").len())
-            .sum()
+        self.models.len()
+    }
+
+    /// Entries held and evictions made by each map, under its metric
+    /// name: `records`, `prices`, `cycles`, `models`, in that order.
+    pub fn occupancy(&self) -> [(&'static str, MapOccupancy); 4] {
+        [
+            ("records", self.records.occupancy()),
+            ("prices", self.prices.occupancy()),
+            ("cycles", self.cycles.occupancy()),
+            ("models", self.models.occupancy()),
+        ]
     }
 
     /// Total entries across all four maps (what a snapshot would carry).
@@ -1162,6 +1305,117 @@ mod tests {
         fresh.import(contents);
         assert_eq!(fresh.models_len(), 1);
         assert_eq!(fresh.model_record(k, || panic!("import must hit")), rec);
+    }
+
+    /// Second chance: entries start referenced, so the first eviction
+    /// from a full shard sweeps a whole revolution, clearing every bit,
+    /// before it evicts exactly one. After that, an insert evicts the
+    /// entry no hit referenced since the hand passed it, and spares the
+    /// fresh and the re-referenced ones.
+    #[test]
+    fn bounded_memo_evicts_unreferenced_entries_first() {
+        let memo: Memo<u64, u64> = Memo::new(4);
+        let home = memo.shard(&0) as *const _;
+        let same: Vec<u64> = (0..)
+            .filter(|k| std::ptr::eq(memo.shard(k), home))
+            .take(6)
+            .collect();
+        let present = |k: &u64| memo.shard(k).read().unwrap().map.contains_key(k);
+        for &k in &same[..4] {
+            assert_eq!(memo.insert(k, k * 10), k * 10);
+        }
+        memo.insert(same[4], 0);
+        let survivors: Vec<u64> = same[..4].iter().copied().filter(present).collect();
+        assert_eq!(survivors.len(), 3, "exactly one entry goes");
+        assert!(present(&same[4]), "a fresh entry survives its insert");
+        for k in &survivors[..2] {
+            assert_eq!(memo.get(k), Some(k * 10));
+        }
+        memo.insert(same[5], 0);
+        assert!(!present(&survivors[2]), "the unreferenced entry goes first");
+        assert!([survivors[0], survivors[1], same[4], same[5]]
+            .iter()
+            .all(present));
+        assert_eq!(memo.len(), 4);
+        assert_eq!(memo.occupancy().evictions, 2);
+        // First insert still wins on a present key.
+        assert_eq!(memo.insert(survivors[0], 99), survivors[0] * 10);
+        assert_eq!(memo.get(&survivors[0]), Some(survivors[0] * 10));
+    }
+
+    /// At two entries per shard, a stream of keys never asked for again
+    /// passes through: each key is gone three inserts later, whatever hash
+    /// slots the keys take. (A hand that restarts at the lowest slot and
+    /// skips fresh entries' sweep would keep the key in the highest
+    /// occupied slot forever.)
+    #[test]
+    fn bounded_memo_at_two_entries_per_shard_evicts_every_stale_key() {
+        let memo: Memo<u64, u64> = Memo::new(2);
+        let home = memo.shard(&0) as *const _;
+        let same: Vec<u64> = (0..)
+            .filter(|k| std::ptr::eq(memo.shard(k), home))
+            .take(48)
+            .collect();
+        let present = |k: &u64| memo.shard(k).read().unwrap().map.contains_key(k);
+        for (i, &k) in same.iter().enumerate() {
+            memo.insert(k, k);
+            assert!(present(&k));
+            assert!(memo.len() <= 2);
+            if i >= 3 {
+                assert!(!present(&same[i - 3]), "key {i}-3 outlived three inserts");
+            }
+        }
+        assert_eq!(memo.occupancy().evictions, 46);
+    }
+
+    /// Eviction churn never grows a full shard's table past the size its
+    /// capacity needs, so a bounded memo's memory stays flat.
+    #[test]
+    fn bounded_memo_tables_keep_their_size_under_churn() {
+        let memo: Memo<u64, u64> = Memo::new(256);
+        let fresh = HashMap::<u64, Slot<u64>>::with_capacity(256).capacity();
+        let home = memo.shard(&0) as *const _;
+        let same = (0..).filter(|k| std::ptr::eq(memo.shard(k), home));
+        for k in same.take(4096) {
+            memo.insert(k, k);
+            let shard = memo.shard(&k).read().unwrap();
+            assert!(shard.map.len() <= 256);
+            assert!(shard.map.capacity() <= fresh, "the table grew");
+        }
+    }
+
+    /// A bounded cache holds at most its capacity per map, counts its
+    /// evictions, and keeps no more than that of an import either; the
+    /// default cache never evicts.
+    #[test]
+    fn bounded_cache_caps_every_map_and_default_never_evicts() {
+        let bounded = EngineCache::bounded(32);
+        assert_eq!(bounded.capacity_per_map(), Some(32));
+        assert_eq!(EngineCache::new().capacity_per_map(), None);
+        let unbounded = EngineCache::new();
+        for f in 0..200 {
+            bounded.pe_record(key(f), || Some(record()));
+            unbounded.pe_record(key(f), || Some(record()));
+            assert!(bounded.priced_len() <= 32);
+        }
+        let [(_, occ), ..] = bounded.occupancy();
+        assert!(occ.evictions >= 200 - 32);
+        assert_eq!(occ.evictions as usize + occ.entries, 200);
+        assert_eq!(unbounded.occupancy()[0].1.evictions, 0);
+        assert_eq!(unbounded.priced_len(), 200);
+        let imported = EngineCache::bounded(32);
+        imported.import(unbounded.export());
+        assert!(imported.priced_len() <= 32);
+        // An evicted key recomputes on its next lookup.
+        let evicted = (0..200)
+            .find(|&f| bounded.records.get(&key(f)).is_none())
+            .unwrap();
+        let mut priced = false;
+        bounded.pe_record(key(evicted), || {
+            priced = true;
+            Some(record())
+        });
+        assert!(priced);
     }
 
     /// The canonical map must mirror the hardware: encodings keyed together

@@ -263,9 +263,11 @@ impl<'c> Evaluator<'c> {
     /// Evaluates one (engine, workload) pair with the sweep seeding
     /// convention: the workload model draws from an RNG seeded by
     /// `seed ^ fnv1a(label)`, where the label is
-    /// `"{engine}/{workload}"` — so results do not depend on evaluation
-    /// order, and two consumers asking about the same pair with the same
-    /// sweep seed get bit-identical metrics.
+    /// `"{engine}/{workload}"` with the engine's
+    /// [`EngineSpec::seed_label`] — so results do not depend on evaluation
+    /// order, two consumers asking about the same pair with the same
+    /// sweep seed get bit-identical metrics, and every memory corner of an
+    /// engine samples the same cycles.
     ///
     /// Layer workloads sample under [`SampleProfile::Sweep`], whole-model
     /// workloads under [`SampleProfile::Model`] (see [`crate::caps`]).
@@ -289,7 +291,7 @@ impl<'c> Evaluator<'c> {
                     ),
                     SweepWorkload::Model(net) => {
                         let point_seed =
-                            seed ^ fnv1a(&format!("{}/{}", spec.label(), workload.name()));
+                            seed ^ fnv1a(&format!("{}/{}", spec.seed_label(), workload.name()));
                         let caps = SerialSampleCaps {
                             model: self.cycle_model,
                             ..SampleProfile::Model.caps_for(spec.precision)
@@ -306,7 +308,8 @@ impl<'c> Evaluator<'c> {
                 (cycles, 1.0, rec)
             }
             ArchKind::Serial => {
-                let point_seed = seed ^ fnv1a(&format!("{}/{}", spec.label(), workload.name()));
+                let point_seed =
+                    seed ^ fnv1a(&format!("{}/{}", spec.seed_label(), workload.name()));
                 match workload {
                     SweepWorkload::Layer(layer) => {
                         let rec = cached_serial_cycles(
@@ -425,8 +428,8 @@ impl<'c> Evaluator<'c> {
     }
 
     /// Evaluates one whole model on one engine with the grid seeding
-    /// convention (`seed ^ fnv1a("{engine}/{model}")`, per-layer seeds
-    /// mixed inside). `None` when the engine fails timing.
+    /// convention (`seed ^ fnv1a("{engine}/{model}")` over the engine's
+    /// [`EngineSpec::seed_label`], per-layer seeds mixed inside). `None` when the engine fails timing.
     ///
     /// Served from the model map: a repeated report for the same
     /// (engine, model content, seed, caps, cycle model) is one cache
@@ -440,7 +443,7 @@ impl<'c> Evaluator<'c> {
         caps: SerialSampleCaps,
     ) -> Option<ModelReport> {
         let price = self.price(spec)?;
-        let cell_seed = seed ^ fnv1a(&format!("{}/{}", spec.label(), net.name));
+        let cell_seed = seed ^ fnv1a(&format!("{}/{}", spec.seed_label(), net.name));
         let caps = SerialSampleCaps {
             model: self.cycle_model,
             ..caps
@@ -869,6 +872,47 @@ mod tests {
         assert_eq!(r.bytes_moved.to_bits(), bytes.to_bits());
         for l in r.layers.iter() {
             assert!(l.bytes_moved > 0.0, "{}", l.name);
+        }
+    }
+
+    /// Sampled serial engines seed from the memory-free label, so every
+    /// memory corner samples the same operands as the unbounded one and
+    /// the roofline can only add stalls: each finite corner's delay is at
+    /// least the unbounded delay, exactly, for layers and whole models.
+    #[test]
+    fn finite_memory_corners_never_undercut_the_unbounded_delay() {
+        use crate::spec::MemorySpec;
+        let cache = EngineCache::new();
+        let eval = Evaluator::new(&cache);
+        let layers = [
+            LayerShape::new("conv", 128, 784, 576, 1),
+            LayerShape::new("dw", 1, 784, 9, 96),
+            LayerShape::new("fc", 1, 1000, 512, 1),
+        ];
+        let net = models::resnet18();
+        let caps = SampleProfile::Quick.caps();
+        for spec in EngineSpec::paper_roster()
+            .into_iter()
+            .filter(|s| s.kind == ArchKind::Serial)
+        {
+            for memory in [MemorySpec::edge(), MemorySpec::mobile(), MemorySpec::hbm()] {
+                let bounded = spec.clone().with_memory(memory);
+                assert_eq!(bounded.seed_label(), spec.label());
+                for layer in &layers {
+                    let w = SweepWorkload::Layer(layer.clone());
+                    let free = eval.metrics(&spec, &w, 7).unwrap().delay_us;
+                    let corner = eval.metrics(&bounded, &w, 7).unwrap().delay_us;
+                    assert!(
+                        corner >= free,
+                        "{} on {}: {corner} < {free}",
+                        bounded.label(),
+                        layer.name
+                    );
+                }
+                let free = eval.model_report(&spec, &net, 7, caps).unwrap().delay_us;
+                let corner = eval.model_report(&bounded, &net, 7, caps).unwrap().delay_us;
+                assert!(corner >= free, "{}: {corner} < {free}", bounded.label());
+            }
         }
     }
 

@@ -45,19 +45,29 @@ pub const MODEL_SAMPLE_CAPS: SerialSampleCaps = SampleProfile::Model.caps();
 /// scheduling granularity of the dense pipelines (weight tiles for the
 /// weight-stationary systolic array, output blocks for the broadcast
 /// matrix, unit batches for the adder tree, 3-D blocks for the cube).
+///
+/// Every product is checked; each count is at most the layer's MAC
+/// count, so it fits for any shape that passes [`LayerShape::validate`].
+///
+/// # Panics
+///
+/// Panics when the count overflows a `u64`, instead of wrapping.
 pub fn dense_tiles(arch: ClassicArch, layer: &LayerShape) -> u64 {
-    let (m, n, k) = (layer.m, layer.n, layer.k);
+    let [m, n, k, repeats] = [layer.m, layer.n, layer.k, layer.repeats].map(|d| d as u64);
+    let product = |dims: &[u64]| dims.iter().try_fold(1u64, |acc, &d| acc.checked_mul(d));
     let per_repeat = match arch {
         // Weight-stationary: one 32×32 weight tile per (k, n) block.
-        ClassicArch::Tpu => (k.div_ceil(32) * n.div_ceil(32)) as u64,
+        ClassicArch::Tpu => product(&[k.div_ceil(32), n.div_ceil(32)]),
         // 10×10×10 cube: 3-D blocks over all of m, n, k.
-        ClassicArch::Ascend => (m.div_ceil(10) * n.div_ceil(10) * k.div_ceil(10)) as u64,
+        ClassicArch::Ascend => product(&[m.div_ceil(10), n.div_ceil(10), k.div_ceil(10)]),
         // 32 dot-product units × 32-lane reduction chunks.
-        ClassicArch::Trapezoid => ((m * n * k.div_ceil(32)) as u64).div_ceil(32),
+        ClassicArch::Trapezoid => product(&[m, n, k.div_ceil(32)]).map(|t| t.div_ceil(32)),
         // Output-stationary 32×32 blocks, K streamed.
-        ClassicArch::FlexFlow => (m.div_ceil(32) * n.div_ceil(32)) as u64,
+        ClassicArch::FlexFlow => product(&[m.div_ceil(32), n.div_ceil(32)]),
     };
-    per_repeat * layer.repeats as u64
+    per_repeat
+        .and_then(|t| t.checked_mul(repeats))
+        .expect("dense tile count overflows u64")
 }
 
 /// The output-tile width an array sweeps the N dimension with — how many

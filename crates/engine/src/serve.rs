@@ -64,7 +64,11 @@
 //!
 //! All connections evaluate through the same [`EngineCache`], so a mixed
 //! batch converges to all-hit steady state no matter how clients shard
-//! their queries.
+//! their queries. `repro serve` bounds that cache at
+//! [`SERVE_CACHE_ENTRIES_PER_MAP`] entries per map, so a client sending
+//! ever-new requests cannot grow the server's memory: a full shard evicts
+//! by second chance, and an evicted entry is recomputed bit-identically
+//! when it is asked for again.
 //!
 //! ## Observability
 //!
@@ -85,9 +89,15 @@
 //! and compute windowed percentiles server-side data alone. The `stats` op
 //! additionally reports `since_*` cache-counter deltas over its own
 //! polling window plus process uptime (minus an optional caller-supplied
-//! monotonic `origin`). Both ops are stateful views of a running server,
-//! so — unlike every evaluation op — their bytes are not replayable;
-//! they are deliberately excluded from the byte-identity properties.
+//! monotonic `origin`). Both report each map's entries and evictions
+//! (`{records,prices,cycles,models}_{entries,evictions}` in `stats`,
+//! `cache_…` gauges and counters in `metrics`); the older
+//! `priced_entries`/`cycle_entries`/`model_entries` names (and their
+//! `cache_…` gauges) are aliases of the `records`, `cycles` and `models`
+//! counts, kept while existing clients still read them. Both ops are stateful
+//! views of a running server, so — unlike every evaluation op — their
+//! bytes are not replayable; they are deliberately excluded from the
+//! byte-identity properties.
 //!
 //! ## Limits and lifecycle
 //!
@@ -121,6 +131,12 @@ use crate::workload::SweepWorkload;
 /// Default seed for sampled evaluations when a request omits `"seed"` —
 /// the same default every `repro` experiment uses.
 pub const DEFAULT_SEED: u64 = 42;
+
+/// Entries per cache map `repro serve` keeps ([`EngineCache::bounded`]:
+/// 256 per shard × 16 shards). Eight times the working set of the
+/// repository's mixed serving traffic, so a warm mix never evicts, while a
+/// stream of ever-new `layer` requests holds the server's memory flat.
+pub const SERVE_CACHE_ENTRIES_PER_MAP: usize = 4096;
 
 /// A parsed flat JSON value (the protocol never nests).
 #[derive(Debug, Clone, PartialEq)]
@@ -635,7 +651,9 @@ fn respond(
                 Some(_) => return Err("field `workload` must be a string".into()),
                 None => format!("{m}x{n}x{k}r{repeats}"),
             };
-            let workload = SweepWorkload::Layer(LayerShape::new(&name, m, n, k, repeats));
+            let layer = LayerShape::new(&name, m, n, k, repeats);
+            layer.validate().map_err(|e| e.to_string())?;
+            let workload = SweepWorkload::Layer(layer);
             let body = match eval.metrics(&spec, &workload, seed) {
                 Some(mt) => format!(
                     "\"op\":\"layer\",\"engine\":\"{}\",\"workload\":\"{}\",\"seed\":{seed}{cycle_tag},\
@@ -721,6 +739,16 @@ fn respond(
             let s = cache.stats();
             let w = cache.window_delta();
             let origin = fields.uint_or("origin", 0)?;
+            let occupancy: String = cache
+                .occupancy()
+                .iter()
+                .map(|(map, o)| {
+                    format!(
+                        ",\"{map}_entries\":{},\"{map}_evictions\":{}",
+                        o.entries, o.evictions
+                    )
+                })
+                .collect();
             one(format!(
                 "\"op\":\"stats\",\"price_hits\":{},\"price_misses\":{},\
                  \"cycle_hits\":{},\"cycle_misses\":{},\
@@ -732,7 +760,7 @@ fn respond(
                  \"since_model_hits\":{},\"since_model_misses\":{},\
                  \"since_price_lookups\":{},\"since_cycle_lookups\":{},\
                  \"since_model_lookups\":{},\
-                 \"since_hit_rate\":{:.4},\"uptime_ms\":{}",
+                 \"since_hit_rate\":{:.4},\"uptime_ms\":{}{occupancy}",
                 s.price_hits,
                 s.price_misses,
                 s.cycle_hits,
@@ -771,9 +799,15 @@ fn respond(
             snap.set_counter("cache_price_lookups", s.price_lookups);
             snap.set_counter("cache_cycle_lookups", s.cycle_lookups);
             snap.set_counter("cache_model_lookups", s.model_lookups);
+            // Aliases of `cache_{records,cycles,models}_entries` below,
+            // kept for clients that read the older names.
             snap.set_gauge("cache_priced_entries", cache.priced_len() as i64);
             snap.set_gauge("cache_cycle_entries", cache.cycles_len() as i64);
             snap.set_gauge("cache_model_entries", cache.models_len() as i64);
+            for (map, o) in cache.occupancy() {
+                snap.set_gauge(&format!("cache_{map}_entries"), o.entries as i64);
+                snap.set_counter(&format!("cache_{map}_evictions"), o.evictions);
+            }
             match fields.opt_str("format")? {
                 Some("prometheus") => one(format!(
                     "\"op\":\"metrics\",\"format\":\"prometheus\",\"text\":\"{}\"",
@@ -1445,7 +1479,13 @@ pub fn query_batch(addr: &str, lines: &[String]) -> std::io::Result<Vec<String>>
         let reader = BufReader::new(&stream);
         let mut responses = Vec::with_capacity(expected);
         for line in reader.lines() {
-            let line = line?;
+            let line = match line {
+                Ok(line) => line,
+                // A server that closes with request lines still unread
+                // resets the connection: that is a short batch too.
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+                Err(e) => return Err(e),
+            };
             expected += points_follow(&line);
             responses.push(line);
             if responses.len() >= expected {

@@ -291,6 +291,20 @@ impl EngineSpec {
     /// [`crate::roster::find`]; the default W8/unbounded stays suffix-free
     /// so every historical label (and seed derived from it) is unchanged.
     pub fn label(&self) -> String {
+        let mut label = self.seed_label();
+        if !self.memory.is_unbounded() {
+            label.push('@');
+            label.push_str(self.memory.name);
+        }
+        label
+    }
+
+    /// [`Self::label`] without the memory-corner suffix: the label that
+    /// seeds sampled evaluations. The cycle model never sees the memory
+    /// corner, so every corner of an engine samples the same operands and
+    /// shares one cycle record; the roofline then only adds stalls, and a
+    /// finite corner can never report less delay than the unbounded one.
+    pub fn seed_label(&self) -> String {
         let mut label = format!(
             "{}/{}@{:.2}GHz",
             self.arch_label(),
@@ -300,10 +314,6 @@ impl EngineSpec {
         if !self.precision.is_default() {
             label.push('@');
             label.push_str(&self.precision.label());
-        }
-        if !self.memory.is_unbounded() {
-            label.push('@');
-            label.push_str(self.memory.name);
         }
         label
     }

@@ -5,7 +5,7 @@
 //! lines, short server batches surface as typed errors, and per-line
 //! limits are enforced.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::thread::JoinHandle;
 
@@ -287,6 +287,93 @@ fn observability_counters_stay_consistent_under_concurrent_load() {
     assert_eq!(obs.connections.get(), 6);
 }
 
+/// A capacity-bounded server evicts instead of growing: fed several
+/// times more distinct `layer` requests than one map holds, no map ever
+/// exceeds its capacity (as `stats` and `metrics` report it), evictions
+/// are counted, and a re-ask of an evicted request is recomputed to the
+/// byte-identical reply.
+#[test]
+fn bounded_server_cache_evicts_and_recomputes_identical_replies() {
+    let cache: &'static EngineCache = &*Box::leak(Box::new(EngineCache::bounded(32)));
+    let capacity = cache.capacity_per_map().expect("bounded") as u64;
+    let (addr, handle) = spawn_server_with(cache, pool_config());
+    let layer = |i: u64| {
+        format!(
+            r#"{{"id":{i},"op":"layer","engine":"OPT4E[EN-T]","m":{},"n":48,"k":64,"seed":{i}}}"#,
+            8 + i
+        )
+    };
+    let ask = |line: String| query_batch(&addr, &[line]).expect("reply").pop().unwrap();
+    let mut originals = vec![ask(layer(0))];
+    assert!(originals[0].contains("\"ok\":true"), "{originals:?}");
+
+    for batch in 0..4 {
+        let lines: Vec<String> = (1..=capacity)
+            .map(|i| layer(batch * capacity + i))
+            .collect();
+        let replies = query_batch(&addr, &lines).expect("batch");
+        assert!(replies.iter().all(|r| r.contains("\"ok\":true")));
+        if batch == 0 {
+            originals.extend(replies);
+        }
+        let stats = ask(r#"{"id":0,"op":"stats"}"#.to_string());
+        for map in ["records", "prices", "cycles", "models"] {
+            let entries = field_u64(&stats, &format!("{map}_entries"));
+            assert!(
+                entries <= capacity,
+                "{map}: {entries} > {capacity}: {stats}"
+            );
+        }
+    }
+    let metrics = ask(r#"{"id":0,"op":"metrics"}"#.to_string());
+    assert!(field_u64(&metrics, "gauge_cache_cycles_entries") <= capacity);
+    assert!(
+        field_u64(&metrics, "ctr_cache_cycles_evictions") > 0,
+        "{metrics}"
+    );
+    assert_eq!(field_u64(&metrics, "ctr_cache_records_evictions"), 0);
+
+    // The first `capacity + 1` requests cannot all still be cached (the
+    // cycle map holds at most `capacity`), so re-asking them recomputes
+    // at least one, and every re-ask answers its first reply's bytes.
+    let misses = |s: &str| field_u64(s, "cycle_misses");
+    let before = ask(r#"{"id":0,"op":"stats"}"#.to_string());
+    let early: Vec<String> = (0..=capacity).map(layer).collect();
+    assert_eq!(query_batch(&addr, &early).expect("re-ask"), originals);
+    let after = ask(r#"{"id":0,"op":"stats"}"#.to_string());
+    assert!(misses(&after) > misses(&before), "a re-ask recomputed");
+
+    shutdown(&addr);
+    handle.join().unwrap().expect("serve loop");
+}
+
+/// A `layer` request whose MAC count leaves the exact range is answered
+/// with an error naming the limit, never with wrapped `"ok":true` numbers;
+/// the server keeps serving.
+#[test]
+fn out_of_range_layer_shapes_are_rejected() {
+    let cache: &'static EngineCache = &*Box::leak(Box::new(EngineCache::new()));
+    let (addr, handle) = spawn_server_with(cache, pool_config());
+    for dim in [1u64 << 22, 1 << 23, 1 << 40] {
+        for engine in ["OPT1(Trapezoid)", "OPT1(TPU)", "OPT4E[EN-T]"] {
+            let line = format!(
+                r#"{{"id":1,"op":"layer","engine":"{engine}","m":{dim},"n":{dim},"k":{dim}}}"#
+            );
+            let reply = query_batch(&addr, &[line]).expect("reply").pop().unwrap();
+            assert!(reply.contains("\"ok\":false"), "{reply}");
+            assert!(reply.contains("out of range"), "{reply}");
+        }
+    }
+    let ok = query_batch(
+        &addr,
+        &[r#"{"id":2,"op":"layer","engine":"OPT1(Trapezoid)","m":64,"n":64,"k":64}"#.to_string()],
+    )
+    .expect("reply");
+    assert!(ok[0].contains("\"ok\":true"), "{ok:?}");
+    shutdown(&addr);
+    handle.join().unwrap().expect("serve loop");
+}
+
 /// Satellite: a shutdown in the middle of a batch answers the remaining
 /// lines with `server draining` errors (ids echoed) instead of leaving
 /// them unanswered, then the server comes down cleanly.
@@ -377,6 +464,35 @@ fn short_server_batches_error_with_expected_vs_received_counts() {
             .write_all(b"{\"id\":0,\"ok\":true,\"op\":\"roster\",\"engines\":[]}\n")
             .expect("write");
         // Dropping the stream closes the connection mid-batch.
+    });
+    let requests: Vec<String> = (0..3)
+        .map(|i| format!(r#"{{"id":{i},"op":"roster"}}"#))
+        .collect();
+    let err = query_batch(&addr, &requests).expect_err("short batch must error");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("expected 3"), "{msg}");
+    assert!(msg.contains("received 1"), "{msg}");
+    fake.join().unwrap();
+}
+
+/// A server that closes with request lines still unread resets the
+/// connection instead of ending it; `query_batch` still names expected
+/// vs. received counts rather than passing the reset through.
+#[test]
+fn reset_mid_batch_errors_with_expected_vs_received_counts() {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let fake = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        // Read only the first line, byte by byte, so the later lines stay
+        // unread; give them time to arrive, answer once, and drop.
+        let mut byte = [0u8; 1];
+        while stream.read(&mut byte).expect("read") == 1 && byte[0] != b'\n' {}
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        stream
+            .write_all(b"{\"id\":0,\"ok\":true,\"op\":\"roster\",\"engines\":[]}\n")
+            .expect("write");
     });
     let requests: Vec<String> = (0..3)
         .map(|i| format!(r#"{{"id":{i},"op":"roster"}}"#))

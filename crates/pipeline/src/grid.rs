@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use tpe_engine::caps::{SampleProfile, SerialSampleCaps};
-use tpe_engine::{EngineSpec, Evaluator, ModelReport};
+use tpe_engine::{EngineCache, EngineSpec, Evaluator, ModelReport};
 use tpe_workloads::NetworkModel;
 
 /// Grid parameters.
@@ -97,17 +97,21 @@ impl GridOutcome {
     }
 }
 
-/// Evaluates every model on every engine (model-major cell order).
+/// Evaluates every model on every engine (model-major cell order),
+/// through `cache`: [`EngineCache::global`] shares records with every
+/// other default evaluation path, and an isolated one gives an honest
+/// cold run whose records no earlier grid computed.
 pub fn run_grid(
     models: &[NetworkModel],
     engines: &[EngineSpec],
     config: GridConfig,
+    cache: &EngineCache,
 ) -> GridOutcome {
     let start = Instant::now();
     // The evaluator is authoritative about the cycle model: it stamps its
     // own mode onto the caps it evaluates with, so the grid must hand the
     // config's choice over instead of relying on the caps field alone.
-    let evaluator = Evaluator::global().with_cycle_model(config.caps.model);
+    let evaluator = Evaluator::new(cache).with_cycle_model(config.caps.model);
     let cells: Vec<(usize, usize)> = (0..models.len())
         .flat_map(|mi| (0..engines.len()).map(move |ei| (mi, ei)))
         .collect();
@@ -187,7 +191,12 @@ mod tests {
     #[test]
     fn grid_covers_all_cells_in_model_major_order() {
         let (ms, es) = small_grid();
-        let outcome = run_grid(&ms, &es, GridConfig::quick_test(2, 5));
+        let outcome = run_grid(
+            &ms,
+            &es,
+            GridConfig::quick_test(2, 5),
+            EngineCache::global(),
+        );
         assert_eq!(outcome.runs.len(), ms.len() * es.len());
         for (i, run) in outcome.runs.iter().enumerate() {
             assert_eq!(run.model, ms[i / es.len()].name);
@@ -201,8 +210,8 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         let (ms, es) = small_grid();
-        let serial = run_grid(&ms, &es, GridConfig::quick_test(1, 3));
-        let parallel = run_grid(&ms, &es, GridConfig::quick_test(4, 3));
+        let serial = run_grid(&ms, &es, GridConfig::quick_test(1, 3), &EngineCache::new());
+        let parallel = run_grid(&ms, &es, GridConfig::quick_test(4, 3), &EngineCache::new());
         assert_eq!(serial.runs, parallel.runs);
     }
 
@@ -217,6 +226,7 @@ mod tests {
             &[models::resnet18()],
             &engines,
             GridConfig::quick_test(1, 1),
+            EngineCache::global(),
         );
         assert_eq!(outcome.feasible_count(), 0);
         assert!(!outcome.runs[0].feasible());
@@ -238,8 +248,8 @@ mod tests {
             .map(|e| e.clone().with_memory(tpe_engine::MemorySpec::edge()))
             .collect();
         let config = GridConfig::quick_test(2, 42);
-        let free = run_grid(&models, &free_engines, config);
-        let edge = run_grid(&models, &edge_engines, config);
+        let free = run_grid(&models, &free_engines, config, EngineCache::global());
+        let edge = run_grid(&models, &edge_engines, config, EngineCache::global());
 
         assert!(free
             .runs
@@ -278,10 +288,10 @@ mod tests {
     fn repeated_grids_hit_the_global_cache() {
         let (ms, es) = small_grid();
         let config = GridConfig::quick_test(1, 77);
-        let first = run_grid(&ms, &es, config);
-        let before = tpe_engine::EngineCache::global().stats();
-        let second = run_grid(&ms, &es, config);
-        let delta = tpe_engine::EngineCache::global().stats().since(&before);
+        let first = run_grid(&ms, &es, config, EngineCache::global());
+        let before = EngineCache::global().stats();
+        let second = run_grid(&ms, &es, config, EngineCache::global());
+        let delta = EngineCache::global().stats().since(&before);
         assert_eq!(first.runs, second.runs);
         assert!(delta.hits() > 0, "warm rerun must hit: {delta:?}");
         assert!(

@@ -19,7 +19,7 @@
 //! workloads::models ──► img2col-lowered GEMM layers (tpe-workloads)
 //!        │
 //!        ▼  per (model × engine) cell
-//! tpe_engine::Evaluator ── pricing (global cache) + per-layer scheduling
+//! tpe_engine::Evaluator ── pricing (cached) + per-layer scheduling
 //!        │                 → end-to-end ModelReport
 //!        ▼
 //! [`grid`] ── deterministic parallel executor; results are
@@ -28,19 +28,22 @@
 //!
 //! Every cell's RNG is seeded from the grid seed and the cell's own
 //! `(engine, model)` label, so results never depend on evaluation order,
-//! and all synthesis/sampling is memoized in the process-wide
-//! [`tpe_engine::EngineCache`] — a grid run after a `repro dse` sweep
-//! reuses everything the sweep already priced.
+//! and all synthesis/sampling is memoized in the
+//! [`tpe_engine::EngineCache`] the caller passes — through the
+//! process-wide [`tpe_engine::EngineCache::global`], a grid run after a
+//! `repro dse` sweep reuses everything the sweep already priced.
 //!
 //! ## Quickstart
 //!
 //! ```
+//! use tpe_engine::EngineCache;
 //! use tpe_pipeline::{run_grid, EngineSpec, GridConfig};
 //! use tpe_workloads::models;
 //!
 //! let models = vec![models::resnet18()];
 //! let engines = EngineSpec::paper_roster();
-//! let outcome = run_grid(&models, &engines, GridConfig::quick_test(2, 42));
+//! let config = GridConfig::quick_test(2, 42);
+//! let outcome = run_grid(&models, &engines, config, EngineCache::global());
 //! assert_eq!(outcome.runs.len(), engines.len());
 //! let best = outcome
 //!     .runs

@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use tpe_arith::encode::EncodingKind;
 use tpe_core::arch::PeStyle;
+use tpe_engine::EngineCache;
 use tpe_pipeline::{run_grid, EngineSpec, GridConfig, MODEL_SAMPLE_CAPS};
 use tpe_sim::array::ClassicArch;
 use tpe_workloads::models;
@@ -98,7 +99,8 @@ fn model_grid_csv_is_byte_identical_across_runs_and_thread_counts() {
     let nets = vec![models::resnet18(), models::mobilenet_v3()];
     let engines = engines_under_test();
     let emit = |threads: usize| {
-        let outcome = run_grid(&nets, &engines, GridConfig::quick_test(threads, 77));
+        let config = GridConfig::quick_test(threads, 77);
+        let outcome = run_grid(&nets, &engines, config, EngineCache::global());
         tpe_dse::emit::model_csv(&outcome.runs)
     };
     let once = emit(1);

@@ -83,7 +83,10 @@ impl ConvShape {
     /// Total multiply–accumulates across all groups.
     pub fn macs(&self) -> u64 {
         let (m, n, k) = self.gemm_dims();
-        (m * n * k * self.groups) as u64
+        [n, k, self.groups]
+            .into_iter()
+            .try_fold(m as u64, |acc, d| acc.checked_mul(d as u64))
+            .expect("convolution MAC count overflows u64")
     }
 }
 

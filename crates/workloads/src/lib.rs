@@ -23,4 +23,4 @@ pub mod models;
 pub mod sparsity;
 
 pub use matrix::Matrix;
-pub use models::{LayerShape, NetworkModel};
+pub use models::{LayerShape, NetworkModel, ShapeError, MAX_LAYER_MACS};

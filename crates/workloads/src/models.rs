@@ -60,23 +60,93 @@ impl LayerShape {
         Self::new(name, m, n, k, conv.groups)
     }
 
+    /// Total multiply–accumulate count, or `None` when `m·n·k·repeats`
+    /// does not fit a `u64`.
+    pub fn checked_macs(&self) -> Option<u64> {
+        [self.n, self.k, self.repeats]
+            .into_iter()
+            .try_fold(self.m as u64, |acc, d| acc.checked_mul(d as u64))
+    }
+
     /// Total multiply–accumulate count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the count overflows a `u64` (see [`Self::validate`]
+    /// for the checked form).
     pub fn macs(&self) -> u64 {
-        (self.m * self.n * self.k * self.repeats) as u64
+        self.checked_macs().expect("layer MAC count overflows u64")
+    }
+
+    /// Checks that every count derived from the shape stays exact: the
+    /// MAC count must not exceed [`MAX_LAYER_MACS`], so it, the tile and
+    /// element counts below it, and their `f64` images are all exact.
+    /// Returns the MAC count.
+    pub fn validate(&self) -> Result<u64, ShapeError> {
+        match self.checked_macs() {
+            Some(macs) if macs <= MAX_LAYER_MACS => Ok(macs),
+            _ => Err(ShapeError {
+                m: self.m,
+                n: self.n,
+                k: self.k,
+                repeats: self.repeats,
+            }),
+        }
     }
 
     /// Distinct element counts of one GEMM instance —
     /// `(weights, activations, outputs)` = `(k·n, m·k, m·n)`. This is the
     /// byte-count basis of the memory-traffic model (multiply by repeats
-    /// and the per-element byte width for a full layer).
+    /// and the per-element byte width for a full layer). Each is at most
+    /// the MAC count, so a shape that passes [`Self::validate`] cannot
+    /// overflow here.
     pub fn operand_elems(&self) -> (u64, u64, u64) {
+        let product = |a: usize, b: usize| {
+            (a as u64)
+                .checked_mul(b as u64)
+                .expect("layer element count overflows u64")
+        };
         (
-            (self.k * self.n) as u64,
-            (self.m * self.k) as u64,
-            (self.m * self.n) as u64,
+            product(self.k, self.n),
+            product(self.m, self.k),
+            product(self.m, self.n),
         )
     }
 }
+
+/// The largest per-layer MAC count the evaluation accepts: 2^53, below
+/// which every integer is exact as an `f64` (delays, throughput and
+/// energy are computed in `f64`). About 9·10^15 MACs, three orders of
+/// magnitude above any catalog layer.
+pub const MAX_LAYER_MACS: u64 = 1 << 53;
+
+/// A layer shape whose MAC count exceeds [`MAX_LAYER_MACS`] (or a `u64`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShapeError {
+    /// GEMM rows.
+    pub m: usize,
+    /// GEMM columns.
+    pub n: usize,
+    /// Reduction dimension.
+    pub k: usize,
+    /// Repeat count.
+    pub repeats: usize,
+}
+
+impl std::fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let macs = [self.n, self.k, self.repeats]
+            .into_iter()
+            .fold(self.m as u128, |acc, d| acc.saturating_mul(d as u128));
+        write!(
+            f,
+            "layer {}x{}x{} r{} is out of range: {} MACs exceed the limit of 2^53",
+            self.m, self.n, self.k, self.repeats, macs
+        )
+    }
+}
+
+impl std::error::Error for ShapeError {}
 
 /// A network: an ordered list of GEMM layers.
 #[derive(Debug, Clone, PartialEq, Eq)]
