@@ -42,7 +42,6 @@ type Scenario = (&'static str, Box<dyn FnMut() -> f64>);
 /// emitter.
 fn scenarios() -> Vec<Scenario> {
     let caps = SampleProfile::Sweep.caps();
-    let model_caps = SampleProfile::Quick.caps();
     let net: &'static NetworkModel = &*Box::leak(Box::new(models::resnet18()));
     let warm = EngineCache::new();
     // Warm the shared cache once so the `_cached` scenarios measure pure
@@ -52,7 +51,7 @@ fn scenarios() -> Vec<Scenario> {
     }
     Evaluator::new(&warm).price(&dense_spec());
     cached_serial_cycles(&warm, &serial_spec(), &probe_layer(), 42, caps);
-    Evaluator::new(&warm).model_report(&serial_spec(), net, 42, model_caps);
+    Evaluator::new(&warm).model_report(&serial_spec(), net, 42);
     let warm: &'static EngineCache = &*Box::leak(Box::new(warm));
 
     let price_cold = |p: Precision| -> Scenario {
@@ -137,7 +136,7 @@ fn scenarios() -> Vec<Scenario> {
             Box::new(move || {
                 let cache = EngineCache::new();
                 let r = Evaluator::new(&cache)
-                    .model_report(&serial_spec(), net, 42, model_caps)
+                    .model_report(&serial_spec(), net, 42)
                     .unwrap();
                 black_box(r.delay_us)
             }),
@@ -149,7 +148,7 @@ fn scenarios() -> Vec<Scenario> {
             "model_report_warm",
             Box::new(move || {
                 let r = Evaluator::new(warm)
-                    .model_report(&serial_spec(), net, 42, model_caps)
+                    .model_report(&serial_spec(), net, 42)
                     .unwrap();
                 black_box(r.delay_us)
             }),
@@ -190,9 +189,7 @@ fn scenarios() -> Vec<Scenario> {
             Box::new(move || {
                 let cache = EngineCache::new();
                 let spec = serial_spec().with_memory(tpe_engine::MemorySpec::edge());
-                let r = Evaluator::new(&cache)
-                    .model_report(&spec, net, 42, model_caps)
-                    .unwrap();
+                let r = Evaluator::new(&cache).model_report(&spec, net, 42).unwrap();
                 black_box(r.delay_us)
             }),
         ),

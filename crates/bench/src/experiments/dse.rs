@@ -292,7 +292,7 @@ fn try_dse(args: &[String]) -> Result<String, String> {
         writeln!(
             out,
             "whole-model workloads (`--model {name}`): every point evaluates a \
-             complete network through the tpe-pipeline scheduler"
+             complete network through the model scheduler"
         )
         .unwrap();
     }

@@ -1,6 +1,6 @@
 //! The `repro models` experiment: run every network of the Figure 12/13
-//! sweep end-to-end through the `tpe-pipeline` scheduling model on the
-//! full Table VII engine roster, and render per-model reports.
+//! sweep end-to-end through the `tpe-dse` model grid on the full Table
+//! VII engine roster, and render per-model reports.
 //!
 //! ```text
 //! repro models [--model SUBSTR] [--arch SUBSTR] [--threads N] [--seed S]
@@ -14,8 +14,8 @@
 use std::fmt::Write as _;
 
 use tpe_dse::emit::{model_csv, model_json};
-use tpe_engine::{CycleModel, EngineCache, SerialSampleCaps};
-use tpe_pipeline::{run_grid, EngineSpec, GridConfig, ModelRun};
+use tpe_dse::{run_grid, ModelRun, SweepConfig};
+use tpe_engine::{CycleModel, EngineCache, EngineSpec};
 use tpe_workloads::NetworkModel;
 
 /// Parsed CLI options for the model grid.
@@ -23,9 +23,7 @@ struct ModelOptions {
     model_filter: String,
     arch_filter: String,
     precision: Option<tpe_dse::Precision>,
-    threads: usize,
-    seed: u64,
-    cycle_model: CycleModel,
+    config: SweepConfig,
     out_csv: Option<String>,
     out_json: Option<String>,
     cache_load: Option<String>,
@@ -37,9 +35,7 @@ fn parse_options(args: &[String]) -> Result<ModelOptions, String> {
         model_filter: String::new(),
         arch_filter: String::new(),
         precision: None,
-        threads: 0,
-        seed: 42,
-        cycle_model: CycleModel::Sampled,
+        config: SweepConfig::default(),
         out_csv: None,
         out_json: None,
         cache_load: None,
@@ -63,18 +59,18 @@ fn parse_options(args: &[String]) -> Result<ModelOptions, String> {
                 );
             }
             "--threads" => {
-                opts.threads = value("--threads")?
+                opts.config.threads = value("--threads")?
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?;
             }
             "--seed" => {
-                opts.seed = value("--seed")?
+                opts.config.seed = value("--seed")?
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?;
             }
             "--cycle-model" => {
                 let v = value("--cycle-model")?;
-                opts.cycle_model = CycleModel::parse(&v)
+                opts.config.cycle_model = CycleModel::parse(&v)
                     .ok_or_else(|| format!("unknown cycle model `{v}` (sampled|analytic)"))?;
             }
             "--out" => opts.out_csv = Some(value("--out")?),
@@ -141,30 +137,16 @@ fn try_models(args: &[String]) -> Result<String, String> {
     let parallel_cache = EngineCache::new();
     let load_note = super::dse::cache_load_note(opts.cache_load.as_deref(), &parallel_cache)?;
 
-    let caps = SerialSampleCaps {
-        model: opts.cycle_model,
-        ..GridConfig::default().caps
-    };
     let serial = run_grid(
         &nets,
         &engines,
-        GridConfig {
+        SweepConfig {
             threads: 1,
-            seed: opts.seed,
-            caps,
+            ..opts.config
         },
         &serial_cache,
     );
-    let parallel = run_grid(
-        &nets,
-        &engines,
-        GridConfig {
-            threads: opts.threads,
-            seed: opts.seed,
-            caps,
-        },
-        &parallel_cache,
-    );
+    let parallel = run_grid(&nets, &engines, opts.config, &parallel_cache);
     let csv = model_csv(&parallel.runs);
     assert_eq!(
         model_csv(&serial.runs),
@@ -190,11 +172,11 @@ fn try_models(args: &[String]) -> Result<String, String> {
         engines.len()
     )
     .unwrap();
-    if opts.cycle_model != CycleModel::Sampled {
+    if opts.config.cycle_model != CycleModel::Sampled {
         writeln!(
             out,
             "cycle model: {} (closed-form serial cycles; seed-independent)",
-            opts.cycle_model.name()
+            opts.config.cycle_model.name()
         )
         .unwrap();
     }

@@ -2,7 +2,7 @@
 //! a fresh [`EngineCache`], reporting where evaluation time actually goes
 //! from the `tpe-obs` per-stage histograms the evaluator records into
 //! (`eval_synthesis_ns`, `eval_price_assemble_ns`, `eval_serial_sample_ns`,
-//! `eval_model_assemble_ns`, `eval_model_schedule_ns`, `eval_traffic_ns`).
+//! `eval_serial_analytic_ns`, `eval_model_assemble_ns`, `eval_traffic_ns`).
 //!
 //! The cold phase prices the full Table VII roster, evaluates the default
 //! sweep layer slice across it, and runs ResNet18 end to end on a serial
@@ -27,24 +27,21 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use tpe_dse::space::default_workloads;
-use tpe_engine::{roster, CycleModel, EngineCache, Evaluator, SweepWorkload, MODEL_SAMPLE_CAPS};
+use tpe_engine::{roster, CycleModel, EngineCache, Evaluator, SweepWorkload};
 use tpe_obs::{Registry, Snapshot};
 use tpe_workloads::models;
 
 /// The evaluator stages profiled, as registered in `tpe-engine::eval`
 /// (name in the registry = `eval_<stage>_ns`). `model_assemble` is the
 /// dedup'd whole-model walk behind the model map's miss path;
-/// `model_schedule` is the naive per-layer oracle, which production
-/// evaluation no longer takes (its row pins that at zero calls);
 /// `traffic` is the roofline's per-layer byte accounting (recorded on
 /// model-record assembly and on every bare-layer metrics call).
-const STAGES: [&str; 7] = [
+const STAGES: [&str; 6] = [
     "synthesis",
     "price_assemble",
     "serial_sample",
     "serial_analytic",
     "model_assemble",
-    "model_schedule",
     "traffic",
 ];
 
@@ -57,7 +54,7 @@ struct StageWindow {
     p99_us: f64,
 }
 
-/// Extracts the four stage windows from a `Registry` snapshot delta.
+/// Extracts the stage windows from a `Registry` snapshot delta.
 fn stage_windows(delta: &Snapshot) -> Vec<StageWindow> {
     STAGES
         .iter()
@@ -118,7 +115,7 @@ fn run_workload(
         }
     }
     // ResNet18 end to end: the serial engine drives `serial_sample` +
-    // `model_schedule`, the dense one is the schedule-only contrast.
+    // `model_assemble`, the dense one is the assembly-only contrast.
     let net = models::resnet18();
     let model_engines: Vec<&str> = if quick {
         vec!["OPT4E[EN-T]/28nm@2.00GHz"]
@@ -128,10 +125,7 @@ fn run_workload(
     let mut model_runs = 0usize;
     for name in model_engines {
         let spec = roster::find(name).expect("roster engine");
-        model_runs += usize::from(
-            eval.model_report(&spec, &net, seed, MODEL_SAMPLE_CAPS)
-                .is_some(),
-        );
+        model_runs += usize::from(eval.model_report(&spec, &net, seed).is_some());
     }
     (priced, layer_points, model_runs)
 }

@@ -37,8 +37,8 @@ const HIT_RATE_MIN_QUERIES: usize = 500;
 use tpe_dse::space::default_workloads;
 use tpe_dse::{merge_shard_responses, DseOps, SweepWorkload};
 use tpe_engine::serve::{
-    parse_flat_object, query_batch, serve_with_hook, serve_with_obs, BatchOps, JsonValue,
-    ServeConfig, ServeObs, SnapshotOps, SERVE_CACHE_ENTRIES_PER_MAP,
+    self as engine_serve, parse_flat_object, query_batch, BatchOps, JsonValue, ServeConfig,
+    ServeObs, SnapshotOps, SERVE_CACHE_ENTRIES_PER_MAP,
 };
 use tpe_engine::{roster, snapshot, CacheStats, CycleModel, EngineCache};
 use tpe_obs::{HistogramSnapshot, Registry};
@@ -191,35 +191,28 @@ fn try_serve(args: &[String]) -> Result<String, String> {
         "repro serve listening on {addr} ({} worker(s), max line {} bytes; NDJSON; \
          ops: engine|layer|metrics|model|roster|stats{}|shutdown; \
          default cycle model {}; cache {} entries per map{warm_note})",
-        config.effective_threads(),
+        tpe_engine::effective_threads(config.threads),
         config.max_line_bytes,
         ops.op_names(),
         config.cycle_model.name(),
         SERVE_CACHE_ENTRIES_PER_MAP,
     );
     std::io::stdout().flush().ok();
-    let outcome = match (&snapshot_path, snapshot_every) {
-        (Some(path), Some(every)) => {
-            let path = path.clone();
-            let hook = move |handled: u64| {
+    let hook = snapshot_path
+        .clone()
+        .zip(snapshot_every)
+        .map(|(path, every)| {
+            move |handled: u64| {
                 if handled.is_multiple_of(every) {
                     if let Err(e) = snapshot::save(cache, &path) {
                         eprintln!("warning: periodic snapshot failed: {e}");
                     }
                 }
-            };
-            serve_with_hook(
-                listener,
-                cache,
-                ops,
-                config,
-                ServeObs::global(),
-                Some(&hook),
-            )
-        }
-        _ => serve_with_hook(listener, cache, ops, config, ServeObs::global(), None),
-    }
-    .map_err(|e| e.to_string())?;
+            }
+        });
+    let hook = hook.as_ref().map(|h| h as &(dyn Fn(u64) + Sync));
+    let outcome = engine_serve::serve(listener, cache, ops, config, ServeObs::global(), hook)
+        .map_err(|e| e.to_string())?;
     let final_note = match &snapshot_path {
         Some(path) => match snapshot::save(cache, path) {
             Ok(info) => format!(
@@ -751,7 +744,9 @@ fn try_serve_smoke(args: &[String]) -> Result<String, String> {
     // the same process.
     let registry: &'static Registry = &*Box::leak(Box::new(Registry::new()));
     let obs: &'static ServeObs = &*Box::leak(Box::new(ServeObs::in_registry(registry)));
-    let server = std::thread::spawn(move || serve_with_obs(listener, cache, &DseOps, config, obs));
+    let server = std::thread::spawn(move || {
+        engine_serve::serve(listener, cache, &DseOps, config, obs, None)
+    });
 
     // Whatever happens mid-smoke, the server must come down: run the
     // drive phase, then always send shutdown and join before reporting.
@@ -1051,7 +1046,6 @@ fn answer_locally(requests: &[String], cache: &EngineCache) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpe_engine::serve::serve_with;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -1256,7 +1250,14 @@ mod tests {
             addrs.push(listener.local_addr().unwrap().to_string());
             let cache: &'static EngineCache = &*Box::leak(Box::new(EngineCache::new()));
             handles.push(std::thread::spawn(move || {
-                serve_with(listener, cache, &DseOps, ServeConfig::default())
+                engine_serve::serve(
+                    listener,
+                    cache,
+                    &DseOps,
+                    ServeConfig::default(),
+                    ServeObs::global(),
+                    None,
+                )
             }));
         }
         let shard_list = addrs.join(",");

@@ -38,7 +38,9 @@ use tpe_dse::emit::to_csv;
 use tpe_dse::{
     pareto_front_per_workload, sweep_with_cache, DseOps, Objective, SweepConfig, SweepOutcome,
 };
-use tpe_engine::serve::{json_escape, query_batch, serve_with, ServeConfig, SnapshotOps};
+use tpe_engine::serve::{
+    json_escape, query_batch, serve, BatchOps, ServeConfig, ServeObs, SnapshotOps,
+};
 use tpe_engine::{snapshot, EngineCache};
 
 /// Runs the warm-start smoke and renders the report.
@@ -147,12 +149,13 @@ fn try_snapshot_smoke(args: &[String]) -> Result<String, String> {
             .local_addr()
             .map_err(|e| e.to_string())?
             .to_string();
-        let server = std::thread::spawn(move || match snapshot_op_path {
-            Some(path) => {
-                let ops = SnapshotOps::new(&DseOps, path);
-                serve_with(listener, cache, &ops, serve_config)
-            }
-            None => serve_with(listener, cache, &DseOps, serve_config),
+        let server = std::thread::spawn(move || {
+            let snapshot_ops = snapshot_op_path.map(|path| SnapshotOps::new(&DseOps, path));
+            let ops: &dyn BatchOps = match &snapshot_ops {
+                Some(ops) => ops,
+                None => &DseOps,
+            };
+            serve(listener, cache, ops, serve_config, ServeObs::global(), None)
         });
         let replies = query_batch(&addr, &requests).map_err(|e| format!("restart query: {e}"))?;
         server

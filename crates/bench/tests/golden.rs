@@ -2,15 +2,14 @@
 //! to the pre-refactor evaluation paths.
 //!
 //! The CSV snapshots under `tests/golden/` were generated by the last
-//! commit in which `dse::eval`, `pipeline::engine` and the experiment
-//! pricing were three separate implementations (`repro dse --out` /
-//! `repro models --out` at seed 42). Every future change to the canonical
+//! commit in which `dse::eval`, the model grid's engine pricing and the
+//! experiment pricing were three separate implementations (`repro dse
+//! --out` / `repro models --out` at seed 42). Every future change to the canonical
 //! evaluator must either keep these bytes or consciously regenerate them.
 
 use tpe_dse::emit::{model_csv, to_csv};
-use tpe_dse::{pareto_front_per_workload, sweep, DesignSpace, Objective, SweepConfig};
+use tpe_dse::{pareto_front_per_workload, run_grid, sweep, DesignSpace, Objective, SweepConfig};
 use tpe_engine::{EngineCache, EngineSpec, Evaluator};
-use tpe_pipeline::{run_grid, GridConfig};
 use tpe_workloads::NetworkModel;
 
 fn golden(name: &str) -> String {
@@ -151,10 +150,10 @@ fn repro_models_full_grid_csv_matches_pre_refactor_snapshot() {
     let outcome = run_grid(
         &nets,
         &engines,
-        GridConfig {
+        SweepConfig {
             threads: 1,
             seed: 42,
-            ..GridConfig::default()
+            ..SweepConfig::default()
         },
         EngineCache::global(),
     );

@@ -8,7 +8,7 @@ use std::net::TcpListener;
 
 use tpe_dse::emit::{to_csv, CSV_HEADER};
 use tpe_dse::{pareto_front_per_workload, sweep_with_cache, DseOps, Objective, SweepConfig};
-use tpe_engine::serve::{handle_request, query_batch, serve_with, ServeConfig};
+use tpe_engine::serve::{handle_request, query_batch, serve, ServeConfig, ServeObs};
 use tpe_engine::EngineCache;
 
 /// A three-precision slice of the default space: one serial engine × 7
@@ -126,7 +126,9 @@ fn sweep_op_round_trips_through_a_pooled_server() {
         threads: 4,
         ..ServeConfig::default()
     };
-    let server = std::thread::spawn(move || serve_with(listener, cache, &DseOps, config));
+    let server = std::thread::spawn(move || {
+        serve(listener, cache, &DseOps, config, ServeObs::global(), None)
+    });
 
     let sweep_req =
         format!(r#"{{"id":1,"op":"sweep","filter":"{FILTER}","seed":{SEED},"points":true}}"#);

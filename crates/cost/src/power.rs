@@ -27,7 +27,7 @@ pub struct ActivityPoint {
 
 /// A PE actively computing: full combinational switching, clock always on.
 /// Single source of truth for every busy-energy account in the workspace
-/// (`tpe-core`'s layer models, `tpe-dse`'s sweep evaluator, `tpe-pipeline`).
+/// (`tpe-core`'s layer models, `tpe-engine`'s evaluator behind the dse sweep and model grid).
 pub const PE_BUSY: ActivityPoint = ActivityPoint {
     activity: 1.0,
     clock_duty: 1.0,

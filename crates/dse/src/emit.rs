@@ -8,6 +8,7 @@
 use tpe_core::arch::ArchKind;
 
 use crate::eval::PointResult;
+use crate::grid::ModelRun;
 use crate::pareto::Objective;
 use crate::space::{classic_name, SweepWorkload};
 use tpe_engine::EngineSpec;
@@ -204,10 +205,10 @@ pub const MODEL_CSV_HEADER: &str =
      cycles,delay_us,energy_uj,gops,peak_tops,utilization,power_w,tops_per_w,area_um2,precision,\
      memory,bytes_moved,intensity_ops_per_byte,bound";
 
-/// Renders a `tpe-pipeline` model grid as CSV (same fixed-precision,
+/// Renders a [`crate::grid`] model grid as CSV (same fixed-precision,
 /// locale-independent discipline as [`to_csv`], so deterministic grids
 /// emit byte-identical text across runs and thread counts).
-pub fn model_csv(runs: &[tpe_pipeline::ModelRun]) -> String {
+pub fn model_csv(runs: &[ModelRun]) -> String {
     let mut out = String::with_capacity(runs.len() * 180 + MODEL_CSV_HEADER.len());
     out.push_str(MODEL_CSV_HEADER);
     out.push('\n');
@@ -251,9 +252,9 @@ pub fn model_csv(runs: &[tpe_pipeline::ModelRun]) -> String {
     out
 }
 
-/// Renders a `tpe-pipeline` model grid as a JSON document (one object per
+/// Renders a [`crate::grid`] model grid as a JSON document (one object per
 /// (model, engine) cell, plus the per-layer breakdown).
-pub fn model_json(runs: &[tpe_pipeline::ModelRun]) -> String {
+pub fn model_json(runs: &[ModelRun]) -> String {
     let mut out = String::with_capacity(runs.len() * 400);
     out.push_str("{\n  \"runs\": [\n");
     for (i, run) in runs.iter().enumerate() {
@@ -372,8 +373,9 @@ mod tests {
 
     #[test]
     fn model_csv_and_json_render_the_grid() {
+        use crate::{run_grid, SweepConfig};
         use tpe_core::arch::PeStyle;
-        use tpe_pipeline::{run_grid, EngineSpec, GridConfig};
+        use tpe_engine::EngineSpec;
         use tpe_sim::array::ClassicArch;
 
         let models = vec![tpe_workloads::models::resnet18()];
@@ -381,7 +383,11 @@ mod tests {
             EngineSpec::dense(PeStyle::Opt1, ClassicArch::Tpu, 1.5),
             EngineSpec::dense(PeStyle::TraditionalMac, ClassicArch::Tpu, 2.0), // walls
         ];
-        let config = GridConfig::quick_test(1, 2);
+        let config = SweepConfig {
+            threads: 1,
+            seed: 2,
+            ..SweepConfig::default()
+        };
         let outcome = run_grid(&models, &engines, config, tpe_engine::EngineCache::global());
         let csv = model_csv(&outcome.runs);
         let lines: Vec<&str> = csv.lines().collect();

@@ -3,8 +3,8 @@
 //!
 //! The actual composition — cached synthesis, node scaling, array support
 //! logic, dense closed-form / serial sampled cycle models — lives in
-//! `tpe-engine` and is shared with `tpe-pipeline`, the `repro`
-//! experiments and `repro serve`. This module only pairs the outcome with
+//! `tpe-engine` and is shared with the [`crate::grid`] model grid, the
+//! `repro` experiments and `repro serve`. This module only pairs the outcome with
 //! the point for Pareto extraction and emission.
 
 use tpe_engine::{CycleModel, EngineCache, Evaluator};

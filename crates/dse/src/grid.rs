@@ -1,65 +1,49 @@
-//! The deterministic parallel (model × engine) grid executor.
+//! The deterministic (model × engine) grid behind `repro models`.
 //!
-//! Same discipline as `tpe-dse`'s sweep: cells are claimed from an atomic
-//! cursor by scoped worker threads, every cell's RNG is seeded from the
-//! grid seed and the cell's own `(engine, model)` label, and results merge
-//! back into input order — so the output is **byte-identical across runs
-//! and thread counts** (pinned by the determinism tests and asserted on
-//! every `repro models` run). Cells evaluate through
-//! [`tpe_engine::Evaluator`] against the process-wide cache, so engines
-//! are priced once per process and repeated (engine, model, seed) cells —
-//! across grid runs, dse sweeps and serve queries — are served from
-//! memory: one whole-model record lookup per warm cell
-//! ([`tpe_engine::ModelKey`]), not an O(layers) rewalk.
+//! The paper's end-to-end results (Figures 11–13) score architectures on
+//! *complete networks*: per-layer utilization dips (depthwise K = 9/25 in
+//! Figure 11(B)), tiling residue on skinny GEMV tails, and the delay mix
+//! across dozens of layers are what separate the designs in practice.
+//! [`run_grid`] evaluates every model on every engine into full
+//! per-layer [`ModelReport`]s, through the same executor as
+//! [`crate::sweep::sweep_with_cache`]: cells are claimed from an atomic
+//! cursor by scoped workers, every cell's RNG is seeded from the grid seed
+//! and the cell's own `(engine, model)` label, and results land back in
+//! input order — so the output is **byte-identical across runs and thread
+//! counts** (pinned by the determinism tests and asserted on every `repro
+//! models` run).
+//!
+//! Every cell samples at the whole-model budget of a
+//! [`crate::SweepWorkload::Model`] design point, so a grid cell and the
+//! matching `repro dse --model` point share one record in the
+//! [`EngineCache`]'s model map: a repeated cell is one lookup, not an
+//! O(layers) rewalk.
+//!
+//! ```
+//! use tpe_dse::{run_grid, EngineCache, SweepConfig};
+//! use tpe_engine::EngineSpec;
+//! use tpe_workloads::models;
+//!
+//! let models = vec![models::resnet18()];
+//! let engines = EngineSpec::paper_roster();
+//! let config = SweepConfig { threads: 2, ..SweepConfig::default() };
+//! let outcome = run_grid(&models, &engines, config, EngineCache::global());
+//! assert_eq!(outcome.runs.len(), engines.len());
+//! let best = outcome
+//!     .runs
+//!     .iter()
+//!     .filter_map(|r| r.report.as_ref())
+//!     .min_by(|a, b| a.delay_us.total_cmp(&b.delay_us))
+//!     .unwrap();
+//! assert!(best.delay_us > 0.0);
+//! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use tpe_engine::caps::{SampleProfile, SerialSampleCaps};
 use tpe_engine::{EngineCache, EngineSpec, Evaluator, ModelReport};
 use tpe_workloads::NetworkModel;
 
-/// Grid parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct GridConfig {
-    /// Worker threads; 0 means one per available core.
-    pub threads: usize,
-    /// Global seed mixed into every cell's layer sampling.
-    pub seed: u64,
-    /// Serial-layer sampling caps.
-    pub caps: SerialSampleCaps,
-}
-
-impl Default for GridConfig {
-    fn default() -> Self {
-        Self {
-            threads: 0,
-            seed: 42,
-            caps: SampleProfile::Model.caps(),
-        }
-    }
-}
-
-impl GridConfig {
-    /// A config for debug-profile tests: explicit threads/seed, very tight
-    /// sampling caps so whole-model cells stay fast unoptimized.
-    pub fn quick_test(threads: usize, seed: u64) -> Self {
-        Self {
-            threads,
-            seed,
-            caps: SampleProfile::Quick.caps(),
-        }
-    }
-
-    /// The effective worker count.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
-    }
-}
+use crate::sweep::{par_map_indexed, SweepConfig};
 
 /// One (model × engine) cell's outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,73 +81,30 @@ impl GridOutcome {
     }
 }
 
-/// Evaluates every model on every engine (model-major cell order),
-/// through `cache`: [`EngineCache::global`] shares records with every
-/// other default evaluation path, and an isolated one gives an honest
-/// cold run whose records no earlier grid computed.
+/// Evaluates every model on every engine (model-major cell order) with
+/// `config.threads` workers, through `cache`: [`EngineCache::global`]
+/// shares records with every other default evaluation path, and an
+/// isolated one gives an honest cold run whose records no earlier grid
+/// computed.
 pub fn run_grid(
     models: &[NetworkModel],
     engines: &[EngineSpec],
-    config: GridConfig,
+    config: SweepConfig,
     cache: &EngineCache,
 ) -> GridOutcome {
     let start = Instant::now();
-    // The evaluator is authoritative about the cycle model: it stamps its
-    // own mode onto the caps it evaluates with, so the grid must hand the
-    // config's choice over instead of relying on the caps field alone.
-    let evaluator = Evaluator::new(cache).with_cycle_model(config.caps.model);
-    let cells: Vec<(usize, usize)> = (0..models.len())
-        .flat_map(|mi| (0..engines.len()).map(move |ei| (mi, ei)))
-        .collect();
-    let threads = config.effective_threads().min(cells.len()).max(1);
-
-    let eval_cell = |&(mi, ei): &(usize, usize)| -> ModelRun {
-        let (model, engine) = (&models[mi], &engines[ei]);
+    let evaluator = Evaluator::new(cache).with_cycle_model(config.cycle_model);
+    let cells = models.len() * engines.len();
+    let (runs, threads) = par_map_indexed(cells, config.threads, |i| {
+        let (model, engine) = (&models[i / engines.len()], &engines[i % engines.len()]);
         ModelRun {
             model: model.name.clone(),
             engine: engine.clone(),
-            report: evaluator.model_report(engine, model, config.seed, config.caps),
+            report: evaluator.model_report(engine, model, config.seed),
         }
-    };
-
-    let mut runs: Vec<Option<ModelRun>> = vec![None; cells.len()];
-    if threads == 1 {
-        for (slot, cell) in runs.iter_mut().zip(&cells) {
-            *slot = Some(eval_cell(cell));
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let mut collected: Vec<Vec<(usize, ModelRun)>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= cells.len() {
-                                break;
-                            }
-                            local.push((i, eval_cell(&cells[i])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("grid worker panicked"))
-                .collect()
-        });
-        for (i, run) in collected.drain(..).flatten() {
-            runs[i] = Some(run);
-        }
-    }
-
+    });
     GridOutcome {
-        runs: runs
-            .into_iter()
-            .map(|r| r.expect("every cell evaluated exactly once"))
-            .collect(),
+        runs,
         elapsed: start.elapsed(),
         threads,
     }
@@ -188,15 +129,18 @@ mod tests {
         )
     }
 
+    fn config(threads: usize, seed: u64) -> SweepConfig {
+        SweepConfig {
+            threads,
+            seed,
+            ..SweepConfig::default()
+        }
+    }
+
     #[test]
     fn grid_covers_all_cells_in_model_major_order() {
         let (ms, es) = small_grid();
-        let outcome = run_grid(
-            &ms,
-            &es,
-            GridConfig::quick_test(2, 5),
-            EngineCache::global(),
-        );
+        let outcome = run_grid(&ms, &es, config(2, 5), EngineCache::global());
         assert_eq!(outcome.runs.len(), ms.len() * es.len());
         for (i, run) in outcome.runs.iter().enumerate() {
             assert_eq!(run.model, ms[i / es.len()].name);
@@ -210,8 +154,8 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         let (ms, es) = small_grid();
-        let serial = run_grid(&ms, &es, GridConfig::quick_test(1, 3), &EngineCache::new());
-        let parallel = run_grid(&ms, &es, GridConfig::quick_test(4, 3), &EngineCache::new());
+        let serial = run_grid(&ms, &es, config(1, 3), &EngineCache::new());
+        let parallel = run_grid(&ms, &es, config(4, 3), &EngineCache::new());
         assert_eq!(serial.runs, parallel.runs);
     }
 
@@ -225,7 +169,7 @@ mod tests {
         let outcome = run_grid(
             &[models::resnet18()],
             &engines,
-            GridConfig::quick_test(1, 1),
+            config(1, 1),
             EngineCache::global(),
         );
         assert_eq!(outcome.feasible_count(), 0);
@@ -247,9 +191,8 @@ mod tests {
             .iter()
             .map(|e| e.clone().with_memory(tpe_engine::MemorySpec::edge()))
             .collect();
-        let config = GridConfig::quick_test(2, 42);
-        let free = run_grid(&models, &free_engines, config, EngineCache::global());
-        let edge = run_grid(&models, &edge_engines, config, EngineCache::global());
+        let free = run_grid(&models, &free_engines, config(2, 42), EngineCache::global());
+        let edge = run_grid(&models, &edge_engines, config(2, 42), EngineCache::global());
 
         assert!(free
             .runs
@@ -287,10 +230,9 @@ mod tests {
     #[test]
     fn repeated_grids_hit_the_global_cache() {
         let (ms, es) = small_grid();
-        let config = GridConfig::quick_test(1, 77);
-        let first = run_grid(&ms, &es, config, EngineCache::global());
+        let first = run_grid(&ms, &es, config(1, 77), EngineCache::global());
         let before = EngineCache::global().stats();
-        let second = run_grid(&ms, &es, config, EngineCache::global());
+        let second = run_grid(&ms, &es, config(1, 77), EngineCache::global());
         let delta = EngineCache::global().stats().since(&before);
         assert_eq!(first.runs, second.runs);
         assert!(delta.hits() > 0, "warm rerun must hit: {delta:?}");

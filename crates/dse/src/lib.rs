@@ -19,17 +19,20 @@
 //!   Pareto fronts can carry whole-model objectives
 //!   (`repro dse --model resnet50`).
 //! * [`eval`] — one point → [`eval::Metrics`], a thin binding of the
-//!   canonical [`tpe_engine::Evaluator`] (shared with `tpe-pipeline`, the
+//!   canonical [`tpe_engine::Evaluator`] (shared with the model grid, the
 //!   `repro` experiments and `repro serve`). Synthesis and serial
 //!   sampling memoize into the process-wide
 //!   [`tpe_engine::EngineCache`].
 //! * [`mod@sweep`] — the scoped-thread executor: work is claimed from an
 //!   atomic cursor, results merge back into input order, and per-point
 //!   seeding makes output byte-identical across thread counts.
+//! * [`grid`] — [`run_grid`]: every network × every engine into full
+//!   per-layer [`tpe_engine::ModelReport`]s (`repro models`, Figures
+//!   11–13), on the same executor and at the same whole-model sampling
+//!   budget as [`SweepWorkload::Model`] points.
 //! * [`pareto`] — [`Objective`] and non-dominated-set extraction.
 //! * [`emit`] — deterministic CSV / JSON emission, for both point sweeps
-//!   ([`emit::to_csv`]) and `tpe-pipeline` model grids
-//!   ([`emit::model_csv`]).
+//!   ([`emit::to_csv`]) and model grids ([`emit::model_csv`]).
 //! * [`serve_ops`] — [`DseOps`]: the `sweep`/`pareto`/`fleet` batch ops
 //!   `repro serve` attaches, answering a filtered slice (via
 //!   [`sweep::evaluate_slice`]) as a summary line plus per-point `repro
@@ -58,6 +61,7 @@
 pub mod emit;
 pub mod eval;
 pub mod fleet;
+pub mod grid;
 pub mod pareto;
 pub mod serve_ops;
 pub mod shard;
@@ -65,6 +69,7 @@ pub mod space;
 pub mod sweep;
 
 pub use eval::{evaluate, evaluate_with_model, Metrics, PointResult};
+pub use grid::{run_grid, GridOutcome, ModelRun};
 pub use pareto::{pareto_front, pareto_front_per_workload, Objective};
 pub use serve_ops::DseOps;
 pub use shard::{merge_shard_responses, ShardSpec};

@@ -49,7 +49,7 @@ use crate::shard::{encode_scores, group_key, scores_of, ShardSpec};
 use crate::sweep::evaluate_slice_shard;
 
 /// The `sweep`/`pareto`/`fleet` op set. Attach with
-/// `tpe_engine::serve::serve_with(listener, cache, &DseOps, config)`.
+/// `tpe_engine::serve::serve(listener, cache, &DseOps, config, obs, None)`.
 pub struct DseOps;
 
 impl BatchOps for DseOps {
@@ -197,7 +197,7 @@ fn slice_op(fields: &Fields, cache: &EngineCache, op: SliceOp) -> Result<Vec<Str
     let include_points = fields.bool_or("points", op.points_by_default())?;
     let max_points = fields.uint_or("max_points", DEFAULT_MAX_POINTS as u64)? as usize;
     let shard = fields.opt_str("shard")?.map(ShardSpec::parse).transpose()?;
-    // Absent means sampled — and `handle_request_with` injects the
+    // Absent means sampled — and `handle_request_classified` injects the
     // server's default here, so `--cycle-model analytic` servers answer
     // analytic slices without clients re-spelling the field.
     let cycle_model = match fields.opt_str("cycle_model")? {

@@ -1,14 +1,16 @@
 //! The parallel sweep executor.
 //!
-//! A sweep evaluates every design point of an enumerated space. Points
-//! are claimed from a shared atomic cursor by scoped worker threads
-//! (work-stealing in the only sense that matters for this workload:
-//! whichever worker is free takes the next point, so heterogeneous point
-//! costs balance automatically). Each worker accumulates `(index, result)`
-//! pairs locally; the results are merged and sorted by index at the end,
-//! and every point's RNG is seeded from the sweep seed and the point's
-//! own label — so the output is **byte-identical across runs and thread
-//! counts**, which the determinism tests pin.
+//! A sweep evaluates every design point of an enumerated space through
+//! `par_map_indexed`, the crate's one parallel executor (the
+//! [`crate::grid`] model grid runs on it too). Indices are claimed from a
+//! shared atomic cursor by scoped worker threads (work-stealing in the
+//! only sense that matters for this workload: whichever worker is free
+//! takes the next item, so heterogeneous costs balance automatically).
+//! Each worker accumulates `(index, result)` pairs locally; the results
+//! are placed back by index at the end, and every point's RNG is seeded
+//! from the sweep seed and the point's own label — so the output is
+//! **byte-identical across runs and thread counts**, which the
+//! determinism tests pin.
 //!
 //! Synthesis, serial sampling and whole-model reports memoize into a
 //! [`EngineCache`]: [`sweep`] shares the process-wide global instance
@@ -21,17 +23,18 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use tpe_engine::{CacheStats, CycleModel, EngineCache};
+use tpe_engine::{effective_threads, CacheStats, CycleModel, EngineCache};
 
 use crate::eval::{evaluate_with_model, PointResult};
 use crate::space::DesignPoint;
 
-/// Sweep parameters.
+/// Sweep and grid parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepConfig {
     /// Worker threads; 0 means one per available core.
     pub threads: usize,
-    /// Global seed mixed into every point's workload sampling.
+    /// Global seed mixed into every point's (or grid cell's) workload
+    /// sampling.
     pub seed: u64,
     /// Serial-cycle backend every point evaluates under (`--cycle-model`).
     pub cycle_model: CycleModel,
@@ -47,15 +50,51 @@ impl Default for SweepConfig {
     }
 }
 
-impl SweepConfig {
-    /// The effective worker count.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
+/// Maps `f` over `0..n` on scoped workers that claim indices from a
+/// shared atomic cursor, returning the results in index order plus the
+/// worker count used: `threads` (0 = one per core, see
+/// [`effective_threads`]) clamped to `1..=n`. One worker runs inline on
+/// the calling thread.
+pub(crate) fn par_map_indexed<R: Send>(
+    n: usize,
+    threads: usize,
+    f: impl Fn(usize) -> R + Sync,
+) -> (Vec<R>, usize) {
+    let threads = effective_threads(threads).min(n).max(1);
+    if threads == 1 {
+        return ((0..n).map(f).collect(), 1);
     }
+    let cursor = AtomicUsize::new(0);
+    let collected: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        local.push((i, f(i)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("parallel map worker panicked"))
+            .collect()
+    });
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
+    for (i, result) in collected.into_iter().flatten() {
+        slots[i] = Some(result);
+    }
+    let results = slots
+        .into_iter()
+        .map(|r| r.expect("every index mapped exactly once"))
+        .collect();
+    (results, threads)
 }
 
 /// Everything a sweep produces.
@@ -91,61 +130,13 @@ pub fn sweep_with_cache(
     config: SweepConfig,
     cache: &EngineCache,
 ) -> SweepOutcome {
-    let threads = config.effective_threads().min(points.len()).max(1);
     let baseline = cache.stats();
     let start = Instant::now();
-
-    let mut results: Vec<Option<PointResult>> = vec![None; points.len()];
-    if threads == 1 {
-        for (slot, point) in results.iter_mut().zip(points) {
-            *slot = Some(evaluate_with_model(
-                point,
-                cache,
-                config.seed,
-                config.cycle_model,
-            ));
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let mut collected: Vec<Vec<(usize, PointResult)>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= points.len() {
-                                break;
-                            }
-                            local.push((
-                                i,
-                                evaluate_with_model(
-                                    &points[i],
-                                    cache,
-                                    config.seed,
-                                    config.cycle_model,
-                                ),
-                            ));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("sweep worker panicked"))
-                .collect()
-        });
-        for (i, result) in collected.drain(..).flatten() {
-            results[i] = Some(result);
-        }
-    }
-
+    let (results, threads) = par_map_indexed(points.len(), config.threads, |i| {
+        evaluate_with_model(&points[i], cache, config.seed, config.cycle_model)
+    });
     SweepOutcome {
-        results: results
-            .into_iter()
-            .map(|r| r.expect("every point evaluated exactly once"))
-            .collect(),
+        results,
         cache: cache.stats().since(&baseline),
         elapsed: start.elapsed(),
         threads,

@@ -6,7 +6,7 @@
 //! rounds and operands it samples; rounds are i.i.d., so capping keeps the
 //! estimate unbiased while bounding cost. Before this table existed, each
 //! consumer hard-coded its own caps (`SWEEP_SAMPLE_CAPS` in `tpe-dse`,
-//! `MODEL_SAMPLE_CAPS` in `tpe-pipeline`) — a drift hazard the profile
+//! `MODEL_SAMPLE_CAPS` in the model grid) — a drift hazard the profile
 //! table closes: callers name the budget they want and the values live
 //! here only.
 

@@ -6,7 +6,7 @@
 //! implementation of that composition — synthesis (memoized on
 //! [`PeKey`]) → node scaling → array support logic →
 //! dense closed-form / serial sampled cycle models — consumed by the
-//! `tpe-dse` sweep, the `tpe-pipeline` grid, the `repro` figure/table
+//! `tpe-dse` sweep and model grid, the `repro` figure/table
 //! experiments and the `repro serve` query front end. Results are
 //! deterministic functions of (engine, workload, seed), so any two paths
 //! that ask the same question get byte-identical answers.
@@ -35,7 +35,7 @@ pub use tpe_core::arch::workload::{effective_numpps, effective_numpps_at};
 
 /// Handles to the evaluator's process-wide stage metrics, resolved once
 /// from [`Registry::global`] (see [`eval_obs`]). The cold stages —
-/// synthesis, price assembly, serial-cycle sampling, model scheduling —
+/// synthesis, price assembly, serial-cycle sampling, model assembly —
 /// get span timers *inside* their miss closures, so warm (cached) paths
 /// pay nothing beyond one relaxed counter increment.
 pub(crate) struct EvalObs {
@@ -48,9 +48,6 @@ pub(crate) struct EvalObs {
     /// `eval_serial_analytic_ns`: one closed-form serial-cycle evaluation
     /// (cold only, analytic mode).
     pub serial_analytic_ns: Arc<Histogram>,
-    /// `eval_model_schedule_ns`: one whole-model schedule (includes its
-    /// per-layer sampling, cold or warm).
-    pub model_schedule_ns: Arc<Histogram>,
     /// `eval_model_assemble_ns`: one whole-model record assembly — the
     /// dedup'd walk behind the model cache's miss path (cold only; a
     /// model-map hit never runs it).
@@ -94,7 +91,6 @@ pub(crate) fn eval_obs() -> &'static EvalObs {
             price_assemble_ns: reg.histogram("eval_price_assemble_ns"),
             serial_sample_ns: reg.histogram("eval_serial_sample_ns"),
             serial_analytic_ns: reg.histogram("eval_serial_analytic_ns"),
-            model_schedule_ns: reg.histogram("eval_model_schedule_ns"),
             model_assemble_ns: reg.histogram("eval_model_assemble_ns"),
             traffic_ns: reg.histogram("eval_traffic_ns"),
             price_calls: reg.counter("eval_price_calls"),
@@ -292,15 +288,11 @@ impl<'c> Evaluator<'c> {
                     SweepWorkload::Model(net) => {
                         let point_seed =
                             seed ^ fnv1a(&format!("{}/{}", spec.seed_label(), workload.name()));
-                        let caps = SerialSampleCaps {
-                            model: self.cycle_model,
-                            ..SampleProfile::Model.caps_for(spec.precision)
-                        };
                         // One model-map lookup; the record's cycle sum is
                         // bit-identical to the old `dense_model_cycles`
                         // accumulation (same closed-form terms, same
                         // order).
-                        let rec = self.model_record(spec, &price, net, point_seed, caps);
+                        let rec = self.model_record(spec, &price, net, point_seed);
                         (rec.cycles, Some(rec))
                     }
                 };
@@ -325,15 +317,11 @@ impl<'c> Evaluator<'c> {
                         (rec.cycles, rec.utilization(), None)
                     }
                     SweepWorkload::Model(net) => {
-                        let caps = SerialSampleCaps {
-                            model: self.cycle_model,
-                            ..SampleProfile::Model.caps_for(spec.precision)
-                        };
                         // One model-map lookup; the pooled busy fraction
                         // reproduces `serial_model_cycles`' aggregate
                         // bit for bit (same f64 addition sequence, same
                         // 0-cycle guard).
-                        let rec = self.model_record(spec, &price, net, point_seed, caps);
+                        let rec = self.model_record(spec, &price, net, point_seed);
                         let mp = crate::schedule::serial_config(spec).mp;
                         let busy_frac = if rec.cycles > 0.0 {
                             rec.busy_sum / (rec.cycles * mp as f64)
@@ -427,45 +415,48 @@ impl<'c> Evaluator<'c> {
         })
     }
 
-    /// Evaluates one whole model on one engine with the grid seeding
+    /// Evaluates one whole model on one engine with the sweep seeding
     /// convention (`seed ^ fnv1a("{engine}/{model}")` over the engine's
-    /// [`EngineSpec::seed_label`], per-layer seeds mixed inside). `None` when the engine fails timing.
+    /// [`EngineSpec::seed_label`], per-layer seeds mixed inside), at the
+    /// same [`SampleProfile::Model`] budget as a [`SweepWorkload::Model`]
+    /// point — so the report and that point's [`Self::metrics`] share one
+    /// model record. `None` when the engine fails timing.
     ///
     /// Served from the model map: a repeated report for the same
-    /// (engine, model content, seed, caps, cycle model) is one cache
-    /// lookup plus `Arc` refcount bumps — the per-layer path is not
-    /// touched at all.
+    /// (engine, model content, seed, cycle model) is one cache lookup
+    /// plus `Arc` refcount bumps — the per-layer path is not touched at
+    /// all.
     pub fn model_report(
         &self,
         spec: &EngineSpec,
         net: &NetworkModel,
         seed: u64,
-        caps: SerialSampleCaps,
     ) -> Option<ModelReport> {
         let price = self.price(spec)?;
         let cell_seed = seed ^ fnv1a(&format!("{}/{}", spec.seed_label(), net.name));
-        let caps = SerialSampleCaps {
-            model: self.cycle_model,
-            ..caps
-        };
         Some(
-            self.model_record(spec, &price, net, cell_seed, caps)
+            self.model_record(spec, &price, net, cell_seed)
                 .to_report(spec),
         )
     }
 
-    /// The cached whole-model record for `(spec, net, seed, caps)`: one
-    /// model-map lookup; a miss runs the dedup'd walk
-    /// ([`crate::schedule::assemble_model_record`]) under the
-    /// `eval_model_assemble_ns` span.
+    /// The cached whole-model record for `(spec, net, seed)`, sampled at
+    /// the one budget of every whole-model evaluation: the
+    /// [`SampleProfile::Model`] caps at the engine's precision, under this
+    /// evaluator's cycle model. One model-map lookup; a miss runs the
+    /// dedup'd walk ([`crate::schedule::assemble_model_record`]) under
+    /// the `eval_model_assemble_ns` span.
     fn model_record(
         &self,
         spec: &EngineSpec,
         price: &EnginePrice,
         net: &NetworkModel,
         seed: u64,
-        caps: SerialSampleCaps,
     ) -> ModelRecord {
+        let caps = SerialSampleCaps {
+            model: self.cycle_model,
+            ..SampleProfile::Model.caps_for(spec.precision)
+        };
         let key = ModelKey::of(spec, net, seed, caps);
         self.cache.model_record(key, || {
             let _span = eval_obs().model_assemble_ns.span();
@@ -752,10 +743,9 @@ mod tests {
         let eval = Evaluator::new(&cache);
         let spec = EngineSpec::serial(PeStyle::Opt4E, EncodingKind::EnT, 2.0);
         let net = models::resnet18();
-        let caps = SampleProfile::Quick.caps();
-        let first = eval.model_report(&spec, &net, 77, caps).unwrap();
+        let first = eval.model_report(&spec, &net, 77).unwrap();
         let before = cache.stats();
-        let second = eval.model_report(&spec, &net, 77, caps).unwrap();
+        let second = eval.model_report(&spec, &net, 77).unwrap();
         let delta = cache.stats().since(&before);
         assert_eq!(first, second);
         assert_eq!(delta.misses(), 0, "warm rerun must be all hits: {delta:?}");
@@ -771,10 +761,9 @@ mod tests {
         let eval = Evaluator::new(&cache);
         let spec = EngineSpec::serial(PeStyle::Opt4E, EncodingKind::EnT, 2.0);
         let net = models::resnet18();
-        let caps = SampleProfile::Quick.caps();
-        eval.model_report(&spec, &net, 77, caps).unwrap();
+        eval.model_report(&spec, &net, 77).unwrap();
         let before = cache.stats();
-        let report = eval.model_report(&spec, &net, 77, caps).unwrap();
+        let report = eval.model_report(&spec, &net, 77).unwrap();
         let delta = cache.stats().since(&before);
         assert_eq!((delta.model_hits, delta.model_misses), (1, 0));
         assert_eq!(delta.cycle_lookups, 0, "layer path untouched on a hit");
@@ -806,6 +795,39 @@ mod tests {
                 spec.label()
             );
             assert_eq!(delta.cycle_lookups, 0, "{}", spec.label());
+        }
+    }
+
+    /// A whole-model report and a `SweepWorkload::Model` point share one
+    /// sampling budget at every precision, so after the point's `metrics`
+    /// call the report is one model-map hit with no miss anywhere — the
+    /// `repro models` grid and `repro dse --model` agree off W8 too.
+    #[test]
+    fn model_report_reuses_the_model_point_record_off_w8() {
+        use tpe_arith::Precision;
+        let cache = EngineCache::new();
+        let eval = Evaluator::new(&cache);
+        let net = models::resnet18();
+        for precision in [Precision::W16, Precision::W4] {
+            let spec = EngineSpec::serial(PeStyle::Opt4E, EncodingKind::EnT, 2.0)
+                .with_precision(precision);
+            let point = eval
+                .metrics(&spec, &SweepWorkload::Model(net.clone()), 42)
+                .unwrap();
+            let before = cache.stats();
+            let report = eval.model_report(&spec, &net, 42).unwrap();
+            let delta = cache.stats().since(&before);
+            assert_eq!(
+                (delta.model_hits, delta.model_misses),
+                (1, 0),
+                "{}",
+                spec.label()
+            );
+            assert_eq!(delta.misses(), 0, "{}: {delta:?}", spec.label());
+            // One record, two roundings: the point divides the summed
+            // cycles by the clock, the report sums per-layer delays.
+            let rel = (report.delay_us - point.delay_us).abs() / point.delay_us;
+            assert!(rel < 1e-12, "{}: {rel}", spec.label());
         }
     }
 
@@ -866,8 +888,7 @@ mod tests {
         let spec = EngineSpec::dense(PeStyle::TraditionalMac, ClassicArch::Tpu, 1.0)
             .with_memory(MemorySpec::edge());
         let net = models::resnet18();
-        let caps = SampleProfile::Quick.caps();
-        let r = eval.model_report(&spec, &net, 7, caps).unwrap();
+        let r = eval.model_report(&spec, &net, 7).unwrap();
         let bytes: f64 = r.layers.iter().map(|l| l.bytes_moved).sum();
         assert_eq!(r.bytes_moved.to_bits(), bytes.to_bits());
         for l in r.layers.iter() {
@@ -890,7 +911,6 @@ mod tests {
             LayerShape::new("fc", 1, 1000, 512, 1),
         ];
         let net = models::resnet18();
-        let caps = SampleProfile::Quick.caps();
         for spec in EngineSpec::paper_roster()
             .into_iter()
             .filter(|s| s.kind == ArchKind::Serial)
@@ -909,23 +929,23 @@ mod tests {
                         layer.name
                     );
                 }
-                let free = eval.model_report(&spec, &net, 7, caps).unwrap().delay_us;
-                let corner = eval.model_report(&bounded, &net, 7, caps).unwrap().delay_us;
+                let free = eval.model_report(&spec, &net, 7).unwrap().delay_us;
+                let corner = eval.model_report(&bounded, &net, 7).unwrap().delay_us;
                 assert!(corner >= free, "{}: {corner} < {free}", bounded.label());
             }
         }
     }
 
-    /// The model-report path agrees with the free-function composition the
-    /// grid executor uses.
+    /// The model-report path agrees with the naive per-layer oracle at
+    /// the whole-model sampling budget.
     #[test]
     fn model_report_matches_grid_composition() {
         let cache = EngineCache::new();
         let eval = Evaluator::new(&cache);
         let spec = EngineSpec::dense(PeStyle::Opt1, ClassicArch::Tpu, 1.5);
         let net = models::resnet18();
-        let caps = SampleProfile::Quick.caps();
-        let r = eval.model_report(&spec, &net, 5, caps).unwrap();
+        let caps = crate::MODEL_SAMPLE_CAPS;
+        let r = eval.model_report(&spec, &net, 5).unwrap();
         let price = eval.price(&spec).unwrap();
         let seed = 5 ^ fnv1a(&format!("{}/{}", spec.label(), net.name));
         let direct = crate::schedule::evaluate_model_with(&cache, &spec, &price, &net, seed, caps);

@@ -7,7 +7,7 @@
 //! The paper's comparisons (Tables I–VII, Figures 9–14) all reduce to
 //! pricing one (engine × workload) pair. Before this crate existed the
 //! workspace computed that in three independently-maintained paths —
-//! `tpe-dse`'s point evaluator, `tpe-pipeline`'s engine pricing, and the
+//! `tpe-dse`'s point evaluator, the model grid's engine pricing, and the
 //! hand-rolled figure/table experiments in `tpe-bench` — each with its own
 //! sample caps, engine roster and per-run cache. `tpe-engine` is the single
 //! implementation they now all consume:
@@ -18,7 +18,7 @@
 //!  queries   │  spec ── EngineSpec / EnginePrice / Corner    │
 //!  ───────►  │  roster ─ Table VII registry + label lookup   │
 //!  dse       │  caps ─── SerialSampleCaps profile table      │
-//!  pipeline  │  eval ─── Evaluator: synthesis → node scaling │
+//!  models    │  eval ─── Evaluator: synthesis → node scaling │
 //!  bench     │           → array support → cycle models      │
 //!  serve     │  cache ── process-wide sharded memo cache     │
 //!            │  serve ── NDJSON batch query server           │
@@ -102,6 +102,17 @@ pub fn fnv1a(label: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// The worker count a `threads` setting resolves to: the setting itself,
+/// or one worker per available core when it is 0 — shared by the sweep
+/// and grid executors and the serve pool.
+pub fn effective_threads(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    }
 }
 
 #[cfg(test)]

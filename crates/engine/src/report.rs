@@ -6,7 +6,7 @@
 //! compare across networks: end-to-end latency, sustained throughput,
 //! energy, TOPS/W and delay-weighted utilization. Aggregates are pure
 //! sums/weighted means of the per-layer rows (property-tested in
-//! `tpe-pipeline`'s suite), so layer and model views can never drift
+//! `tpe-dse`'s suite), so layer and model views can never drift
 //! apart.
 
 use std::sync::Arc;

@@ -487,7 +487,6 @@ pub fn evaluate_model_with(
     seed: u64,
     caps: SerialSampleCaps,
 ) -> ModelReport {
-    let _span = crate::eval::eval_obs().model_schedule_ns.span();
     let layers: Vec<LayerReport> = net
         .layers
         .iter()

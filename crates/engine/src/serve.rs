@@ -73,12 +73,12 @@
 //! ## Observability
 //!
 //! Every run records into a [`ServeObs`] bundle of `tpe-obs` metrics
-//! (the process-wide registry by default; [`serve_with_obs`] takes an
-//! isolated one for exact-count tests): per-op request counters,
+//! ([`ServeObs::global`] for the process-wide registry, or an isolated
+//! one for exact-count tests): per-op request counters,
 //! queue-wait vs evaluation latency histograms, an in-flight gauge, and
 //! counters for drained / over-long / non-UTF-8 / unparseable lines.
 //! The `metrics` op snapshots the registry of the server's [`ServeObs`]
-//! (global by default, so `serve_with`/`repro serve` report the
+//! (`repro serve` passes the global one, so it reports the
 //! process-wide registry) — with the serving cache's counters folded in
 //! — as a flat JSON object, or as Prometheus text exposition with
 //! `"format":"prometheus"`. A server over an isolated registry thus
@@ -507,26 +507,12 @@ pub fn handle_line(line: &str, cache: &EngineCache) -> (String, bool) {
 /// Handles one request line against `cache` with `ops` extensions,
 /// returning the response lines (one for built-in ops, possibly several
 /// for batch ops; no trailing newlines) and whether the request asked for
-/// shutdown. Requests default to the sampled cycle model; see
-/// [`handle_request_with`] for a server-level default.
+/// shutdown. Requests default to the sampled cycle model, and the
+/// `metrics` op reads the process-wide registry; see
+/// [`handle_request_classified`] for a server-level default and registry.
 pub fn handle_request(line: &str, cache: &EngineCache, ops: &dyn BatchOps) -> (Vec<String>, bool) {
-    handle_request_with(line, cache, ops, CycleModel::Sampled)
-}
-
-/// [`handle_request`] with a server-level default [`CycleModel`]
-/// ([`ServeConfig::cycle_model`]): requests that do not spell a
-/// `cycle_model` field evaluate under `default_model`; an explicit field
-/// always wins. The default is injected as if the client had sent the
-/// field, so built-in ops and batch-op extensions see one consistent
-/// request.
-pub fn handle_request_with(
-    line: &str,
-    cache: &EngineCache,
-    ops: &dyn BatchOps,
-    default_model: CycleModel,
-) -> (Vec<String>, bool) {
     let (lines, is_shutdown, _) =
-        handle_request_classified(line, cache, ops, default_model, Registry::global());
+        handle_request_classified(line, cache, ops, CycleModel::Sampled, Registry::global());
     (lines, is_shutdown)
 }
 
@@ -543,10 +529,15 @@ pub enum RequestClass {
     Malformed,
 }
 
-/// [`handle_request_with`], additionally returning the line's
-/// [`RequestClass`] from the same parse that evaluated it. The `metrics`
-/// op snapshots `registry` — the serving instance's own (see
-/// [`ServeObs::registry`]); [`handle_request_with`] passes
+/// [`handle_request`] with a server-level default [`CycleModel`]
+/// ([`ServeConfig::cycle_model`]) and registry, additionally returning
+/// the line's [`RequestClass`] from the same parse that evaluated it.
+/// Requests that do not spell a `cycle_model` field evaluate under
+/// `default_model`; an explicit field always wins. The default is
+/// injected as if the client had sent the field, so built-in ops and
+/// batch-op extensions see one consistent request. The `metrics` op
+/// snapshots `registry` — the serving instance's own (see
+/// [`ServeObs::registry`]); [`handle_request`] passes
 /// [`Registry::global`].
 pub fn handle_request_classified(
     line: &str,
@@ -679,7 +670,7 @@ fn respond(
                 .into_iter()
                 .find(|n| n.name.eq_ignore_ascii_case(model_name))
                 .ok_or_else(|| format!("unknown model `{model_name}`"))?;
-            let body = match eval.model_report(&spec, &net, seed, crate::MODEL_SAMPLE_CAPS) {
+            let body = match eval.model_report(&spec, &net, seed) {
                 Some(r) => {
                     let mut body = format!(
                         "\"op\":\"model\",\"engine\":\"{}\",\"model\":\"{}\",\"seed\":{seed}{cycle_tag},\
@@ -1029,7 +1020,7 @@ impl<'r> ServeObs<'r> {
     }
 }
 
-/// Operational limits and pool sizing for one [`serve_with`] run.
+/// Operational limits and pool sizing for one [`serve`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Worker threads evaluating requests; 0 means one per available core.
@@ -1052,17 +1043,6 @@ impl Default for ServeConfig {
             max_line_bytes: 64 * 1024,
             max_inflight: 64,
             cycle_model: CycleModel::Sampled,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// The effective pool size.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
         }
     }
 }
@@ -1091,50 +1071,24 @@ struct Job {
 /// (sequence number, response lines).
 type Reply = (u64, Vec<String>);
 
-/// Runs the serve loop on `listener` with the default configuration and
-/// the built-in op set. Blocks the calling thread until a `shutdown`
-/// request arrives; see [`serve_with`].
-pub fn serve(listener: TcpListener, cache: &EngineCache) -> std::io::Result<ServeOutcome> {
-    serve_with(listener, cache, &NoOps, ServeConfig::default())
-}
-
 /// Runs the serve loop on `listener` until a `shutdown` request arrives:
 /// a shared bounded worker pool, per-connection request pipelining with
 /// in-order response reassembly, and `ops` batch-op extensions. Blocks
 /// the calling thread; on shutdown the listener stops accepting and every
 /// in-flight connection drains before this returns.
-pub fn serve_with(
-    listener: TcpListener,
-    cache: &EngineCache,
-    ops: &dyn BatchOps,
-    config: ServeConfig,
-) -> std::io::Result<ServeOutcome> {
-    serve_with_obs(listener, cache, ops, config, ServeObs::global())
-}
-
-/// [`serve_with`], recording into an explicit [`ServeObs`] bundle instead
-/// of the process-wide one — exact-count metric tests hand an isolated
-/// [`Registry`]'s handles here so concurrent servers cannot pollute each
-/// other's counters. The `metrics` op snapshots that bundle's
-/// [`ServeObs::registry`], so the counters on the wire are this
-/// server's own.
-pub fn serve_with_obs(
-    listener: TcpListener,
-    cache: &EngineCache,
-    ops: &dyn BatchOps,
-    config: ServeConfig,
-    obs: &ServeObs<'_>,
-) -> std::io::Result<ServeOutcome> {
-    serve_with_hook(listener, cache, ops, config, obs, None)
-}
-
-/// [`serve_with_obs`] with an optional `after_request` hook, called by
-/// the answering worker after each reply is sent toward the socket with
-/// the total requests handled so far (1-based, monotonic across the run).
-/// This is how `--snapshot-every N` piggybacks periodic cache saves on
-/// the serve loop without a timer thread; the hook runs on a pool worker,
-/// so it must be cheap or rare.
-pub fn serve_with_hook(
+///
+/// The run records into `obs` — [`ServeObs::global`] for the
+/// process-wide registry, or an isolated [`Registry`]'s handles so
+/// concurrent servers cannot pollute each other's counters; the
+/// `metrics` op snapshots that bundle's [`ServeObs::registry`], so the
+/// counters on the wire are this server's own. The optional
+/// `after_request` hook is called by the answering worker after each
+/// reply is sent toward the socket with the total requests handled so
+/// far (1-based, monotonic across the run). This is how
+/// `--snapshot-every N` piggybacks periodic cache saves on the serve
+/// loop without a timer thread; the hook runs on a pool worker, so it
+/// must be cheap or rare.
+pub fn serve(
     listener: TcpListener,
     cache: &EngineCache,
     ops: &dyn BatchOps,
@@ -1144,7 +1098,7 @@ pub fn serve_with_hook(
 ) -> std::io::Result<ServeOutcome> {
     let local = listener.local_addr()?;
     let handled = AtomicU64::new(0);
-    let workers = config.effective_threads();
+    let workers = crate::effective_threads(config.threads);
     let shutdown = AtomicBool::new(false);
     let connections = AtomicU64::new(0);
     let requests = AtomicU64::new(0);

@@ -821,7 +821,7 @@ mod tests {
         }
         let spec = EngineSpec::serial(PeStyle::Opt4E, EncodingKind::EnT, 2.0);
         Evaluator::new(&cache)
-            .model_report(&spec, &models::resnet18(), 7, SampleProfile::Quick.caps())
+            .model_report(&spec, &models::resnet18(), 7)
             .expect("feasible");
         assert!(!cache.is_empty());
         assert!(cache.models_len() > 0);
@@ -968,9 +968,8 @@ mod tests {
         let cache = EngineCache::new();
         let spec = EngineSpec::serial(PeStyle::Opt4E, EncodingKind::EnT, 2.0);
         let net = models::resnet18();
-        let caps = SampleProfile::Quick.caps();
         let report = Evaluator::new(&cache)
-            .model_report(&spec, &net, 7, caps)
+            .model_report(&spec, &net, 7)
             .expect("feasible");
 
         let decoded = decode(&encode(&cache.export())).unwrap();
@@ -980,7 +979,7 @@ mod tests {
         fresh.import(decoded);
         let before = fresh.stats();
         let replay = Evaluator::new(&fresh)
-            .model_report(&spec, &net, 7, caps)
+            .model_report(&spec, &net, 7)
             .expect("feasible");
         assert_eq!(replay, report, "imported model map must answer identically");
         let delta = fresh.stats().since(&before);

@@ -9,7 +9,7 @@
 //! `eval_serial_analytic_ns` histogram that joins the sampled path's
 //! `eval_serial_sample_ns` span.
 
-use tpe_engine::serve::{handle_request, handle_request_with, NoOps};
+use tpe_engine::serve::{handle_request, handle_request_classified, NoOps};
 use tpe_engine::{roster, CycleModel, EngineCache, Evaluator, SweepWorkload};
 use tpe_obs::Registry;
 use tpe_workloads::LayerShape;
@@ -98,7 +98,13 @@ fn stats_op_invariant_holds_across_modes() {
         r#"{"id":1,"op":"layer","engine":"OPT4E[EN-T]","m":48,"n":192,"k":96,"seed":7}"#;
 
     let (sampled, _) = handle_request(layer_req, cache, &NoOps);
-    let (analytic, _) = handle_request_with(layer_req, cache, &NoOps, CycleModel::Analytic);
+    let (analytic, _, _) = handle_request_classified(
+        layer_req,
+        cache,
+        &NoOps,
+        CycleModel::Analytic,
+        Registry::global(),
+    );
     assert!(
         analytic[0].contains(r#""cycle_model":"analytic""#),
         "analytic replies must carry the mode: {}",

@@ -10,9 +10,7 @@ use std::net::TcpListener;
 use std::thread::JoinHandle;
 
 use proptest::prelude::*;
-use tpe_engine::serve::{
-    query_batch, serve_with, serve_with_obs, NoOps, ServeConfig, ServeObs, ServeOutcome,
-};
+use tpe_engine::serve::{query_batch, serve, NoOps, ServeConfig, ServeObs, ServeOutcome};
 use tpe_engine::EngineCache;
 use tpe_obs::Registry;
 
@@ -34,7 +32,9 @@ fn spawn_server_with(
 ) -> (String, JoinHandle<std::io::Result<ServeOutcome>>) {
     let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
-    let handle = std::thread::spawn(move || serve_with(listener, cache, &NoOps, config));
+    let handle = std::thread::spawn(move || {
+        serve(listener, cache, &NoOps, config, ServeObs::global(), None)
+    });
     (addr, handle)
 }
 
@@ -212,7 +212,7 @@ fn observability_counters_stay_consistent_under_concurrent_load() {
     let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
     let handle =
-        std::thread::spawn(move || serve_with_obs(listener, cache, &NoOps, pool_config(), obs));
+        std::thread::spawn(move || serve(listener, cache, &NoOps, pool_config(), obs, None));
 
     // 4 clients × 12 mixed requests, concurrently.
     std::thread::scope(|scope| {

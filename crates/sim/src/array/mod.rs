@@ -16,7 +16,7 @@
 //!
 //! Every engine implements [`DenseArray`]: an exact `simulate` (validated
 //! against the reference GEMM) plus a closed-form `estimate_cycles`
-//! pinned to simulation in tests — the cycle model `tpe-pipeline` uses to
+//! pinned to simulation in tests — the cycle model the engine's scheduler uses to
 //! schedule whole networks, layer by img2col-lowered layer.
 
 mod adder_tree;

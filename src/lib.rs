@@ -34,11 +34,6 @@
 //! * [`obs`] — std-only observability: atomic counters/gauges, log2
 //!   latency histograms, a process-wide metric registry and scoped span
 //!   timers, surfaced through the serve `metrics` op and `repro profile`.
-//! * [`pipeline`] — the model-level scheduling pipeline: whole networks
-//!   from the layer database run end-to-end (img2col tiling → per-layer
-//!   cycle/energy models → aggregated latency, TOPS/W and utilization) on
-//!   any dense or serial engine, in a deterministic parallel grid
-//!   (`repro models`).
 //! * [`dse`] — parallel design-space exploration over all of the above:
 //!   enumerate (PE style × topology × encoding × operand precision ×
 //!   corner × workload) points — workloads being single layers *or whole
@@ -46,7 +41,11 @@
 //!   presets — sweep them on scoped worker threads with a memoized
 //!   synthesis cache, and extract area/delay/energy Pareto fronts
 //!   (`repro dse [--model NAME] [--precision W4,..]`,
-//!   `examples/design_space_sweep.rs`).
+//!   `examples/design_space_sweep.rs`). The same executor runs the
+//!   model-level grid ([`dse::run_grid`]): whole networks from the layer
+//!   database end-to-end (img2col tiling → per-layer cycle/energy models
+//!   → aggregated latency, TOPS/W and utilization) on any dense or serial
+//!   engine (`repro models`).
 //!
 //! ## Quickstart
 //!
@@ -67,6 +66,5 @@ pub use tpe_cost as cost;
 pub use tpe_dse as dse;
 pub use tpe_engine as engine;
 pub use tpe_obs as obs;
-pub use tpe_pipeline as pipeline;
 pub use tpe_sim as sim;
 pub use tpe_workloads as workloads;
