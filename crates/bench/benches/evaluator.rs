@@ -4,14 +4,14 @@
 //! cache) and the dense/serial cycle estimates — the unit of work every
 //! sweep point, grid cell and serve query pays.
 //!
-//! Besides the usual `name: N ns/iter` lines, this bench writes
-//! `BENCH_evaluator.json` (flat JSON, median ns per scenario) so CI and
-//! future PRs can track the perf trajectory mechanically.
+//! Each scenario is timed once: the median printed as
+//! `evaluator/name: N ns/iter` is the number written to
+//! `BENCH_evaluator.json` (flat JSON, median ns per scenario), so CI and
+//! future changes can track the perf trajectory mechanically.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::{criterion_group, Criterion};
 use tpe_arith::encode::EncodingKind;
 use tpe_arith::Precision;
 use tpe_core::arch::PeStyle;
@@ -38,8 +38,7 @@ fn probe_layer() -> LayerShape {
 /// hot path.
 type Scenario = (&'static str, Box<dyn FnMut() -> f64>);
 
-/// The benchmark scenarios, shared by the criterion printout and the JSON
-/// emitter.
+/// The benchmark scenarios.
 fn scenarios() -> Vec<Scenario> {
     let caps = SampleProfile::Sweep.caps();
     let net: &'static NetworkModel = &*Box::leak(Box::new(models::resnet18()));
@@ -196,15 +195,6 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-fn bench_evaluator(c: &mut Criterion) {
-    let mut group = c.benchmark_group("evaluator");
-    group.sample_size(20);
-    for (name, mut f) in scenarios() {
-        group.bench_function(name, |b| b.iter(&mut f));
-    }
-    group.finish();
-}
-
 /// Median ns/iter over `samples` timed samples after a short warm-up.
 fn measure(f: &mut dyn FnMut() -> f64, samples: usize) -> f64 {
     for _ in 0..3 {
@@ -228,11 +218,13 @@ fn measure(f: &mut dyn FnMut() -> f64, samples: usize) -> f64 {
     medians[medians.len() / 2]
 }
 
-/// Writes `BENCH_evaluator.json`: the perf-trajectory artifact.
-fn emit_json() {
+/// Times every scenario, prints its median and writes the same medians
+/// to `BENCH_evaluator.json`: the perf-trajectory artifact.
+fn main() {
     let mut entries = Vec::new();
     for (name, mut f) in scenarios() {
         let ns = measure(&mut f, 9);
+        println!("evaluator/{name}: {ns:.1} ns/iter");
         entries.push(format!(
             "    {{\"name\": \"{name}\", \"ns_per_iter\": {ns:.1}}}"
         ));
@@ -246,11 +238,4 @@ fn emit_json() {
         .unwrap_or_else(|_| format!("{}/../../BENCH_evaluator.json", env!("CARGO_MANIFEST_DIR")));
     std::fs::write(&path, &json).expect("writing BENCH_evaluator.json");
     println!("wrote {path}");
-}
-
-criterion_group!(benches, bench_evaluator);
-
-fn main() {
-    benches();
-    emit_json();
 }

@@ -18,6 +18,10 @@
 //! This is a statistical layer model; the bit-exact engine for full GEMMs
 //! is [`tpe_sim::BitsliceArray`], validated separately.
 
+use std::collections::HashMap;
+use std::hash::Hash;
+use std::sync::{OnceLock, RwLock};
+
 use super::designs::PeStyle;
 use super::{ArchKind, ArchModel};
 use rand::rngs::StdRng;
@@ -130,26 +134,35 @@ struct DigitStats {
 /// sampler, the effective-NumPPs statistic and the analytic pmf.
 ///
 /// The histogram is a pure function of (encoder, width) but costs a full
-/// range enumeration (2^16 encodes at W16), so it is memoized
-/// process-wide on the encoder's stable name — memoization can never
-/// change values, only skip recomputation. A miss computes under the
-/// write lock, so concurrent first uses of one width wait for a single
-/// enumeration instead of each running their own; the memo holds at most
-/// one entry per (encoder, width), leaked to give `'static` borrows.
+/// range enumeration (2^16 encodes at W16), so it is [`memoized`]
+/// process-wide on the encoder's stable name. Computing under the write
+/// lock is what bounds the leak: the memo holds exactly one table per
+/// (encoder, width), leaked to give `'static` borrows.
 fn digit_stats(encoder: &dyn Encoder, a_bits: u32) -> &'static DigitStats {
-    use std::collections::HashMap;
-    use std::sync::{OnceLock, RwLock};
-    type StatsMemo = RwLock<HashMap<(&'static str, u32), &'static DigitStats>>;
-    static MEMO: OnceLock<StatsMemo> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| RwLock::new(HashMap::new()));
-    let key = (encoder.name(), a_bits);
-    if let Some(&hit) = memo.read().expect("digit memo poisoned").get(&key) {
+    static MEMO: Memo<(&'static str, u32), &'static DigitStats> = OnceLock::new();
+    memoized(&MEMO, (encoder.name(), a_bits), || {
+        Box::leak(Box::new(DigitStats::of(encoder, a_bits)))
+    })
+}
+
+/// A process-wide memo of a pure function (see [`memoized`]).
+type Memo<K, V> = OnceLock<RwLock<HashMap<K, V>>>;
+
+/// The value of a pure function at `key`, from a process-wide memo: a
+/// shared-lock read, and on a miss `compute` under the write lock, so
+/// concurrent first uses of one key wait for a single computation instead
+/// of each running their own. Memoization can never change values, only
+/// skip recomputation.
+fn memoized<K: Eq + Hash, V: Copy>(memo: &Memo<K, V>, key: K, compute: impl FnOnce() -> V) -> V {
+    let memo = memo.get_or_init(Default::default);
+    if let Some(&hit) = memo.read().expect("memo poisoned").get(&key) {
         return hit;
     }
-    memo.write()
-        .expect("digit memo poisoned")
+    *memo
+        .write()
+        .expect("memo poisoned")
         .entry(key)
-        .or_insert_with(|| Box::leak(Box::new(DigitStats::of(encoder, a_bits))))
+        .or_insert_with(compute)
 }
 
 impl DigitStats {
@@ -483,51 +496,44 @@ fn expected_max_of_iid(pmf: &[f64], mp: usize) -> f64 {
 
 /// `E[max of mp i.i.d. standard normals]`, by trapezoidal integration of
 /// `∫ z · mp · φ(z) · Φ(z)^{mp−1} dz` over `z ∈ [−8, 8]`, accumulating
-/// `Φ` incrementally (std has no `erf`). Memoized per `mp`: the constant
-/// depends only on the column count, not on encoder, width, or layer.
+/// `Φ` incrementally (std has no `erf`). [`memoized`] per `mp`: the
+/// constant depends only on the column count, not on encoder, width, or
+/// layer.
 fn std_normal_max_mean(mp: usize) -> f64 {
-    use std::collections::HashMap;
-    use std::sync::{OnceLock, RwLock};
+    static MEMO: Memo<usize, f64> = OnceLock::new();
     if mp <= 1 {
         return 0.0;
     }
-    static MEMO: OnceLock<RwLock<HashMap<usize, f64>>> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| RwLock::new(HashMap::new()));
-    if let Some(&hit) = memo.read().expect("normal-max memo poisoned").get(&mp) {
-        return hit;
-    }
-
-    const Z: f64 = 8.0;
-    const STEPS: usize = 4_000;
-    let h = 2.0 * Z / STEPS as f64;
-    let phi = |z: f64| (-0.5 * z * z).exp() / (2.0 * std::f64::consts::PI).sqrt();
-    let m = mp as f64;
-    let mut z = -Z;
-    let mut pdf = phi(z);
-    let mut cdf = 0.0; // Φ(−8) ≈ 6e−16: below the integration error
-    let mut integrand = 0.0; // z·m·φ(z)·Φ^{m−1}, zero at the left edge
-    let mut acc = 0.0;
-    for _ in 0..STEPS {
-        let z2 = z + h;
-        let pdf2 = phi(z2);
-        let cdf2 = (cdf + 0.5 * h * (pdf + pdf2)).min(1.0);
-        let integrand2 = z2 * m * pdf2 * cdf2.powi(mp as i32 - 1);
-        acc += 0.5 * h * (integrand + integrand2);
-        z = z2;
-        pdf = pdf2;
-        cdf = cdf2;
-        integrand = integrand2;
-    }
-    memo.write()
-        .expect("normal-max memo poisoned")
-        .insert(mp, acc);
-    acc
+    memoized(&MEMO, mp, || {
+        const Z: f64 = 8.0;
+        const STEPS: usize = 4_000;
+        let h = 2.0 * Z / STEPS as f64;
+        let phi = |z: f64| (-0.5 * z * z).exp() / (2.0 * std::f64::consts::PI).sqrt();
+        let m = mp as f64;
+        let mut z = -Z;
+        let mut pdf = phi(z);
+        let mut cdf = 0.0; // Φ(−8) ≈ 6e−16: below the integration error
+        let mut integrand = 0.0; // z·m·φ(z)·Φ^{m−1}, zero at the left edge
+        let mut acc = 0.0;
+        for _ in 0..STEPS {
+            let z2 = z + h;
+            let pdf2 = phi(z2);
+            let cdf2 = (cdf + 0.5 * h * (pdf + pdf2)).min(1.0);
+            let integrand2 = z2 * m * pdf2 * cdf2.powi(mp as i32 - 1);
+            acc += 0.5 * h * (integrand + integrand2);
+            z = z2;
+            pdf = pdf2;
+            cdf = cdf2;
+            integrand = integrand2;
+        }
+        acc
+    })
 }
 
 /// `(per-operand mean, E[round max])` for one sync round: the expected
 /// max over `mp` columns of the sum of `ops_per_round` i.i.d. digit
 /// counts. A pure function of its arguments — the layer only enters
-/// through `ops_per_round` — so it is memoized process-wide: a model
+/// through `ops_per_round` — so it is [`memoized`] process-wide: a model
 /// grid revisits the same handful of `(encoder, width, ops, mp)` keys
 /// across every layer and engine, and the exact-convolution branch is
 /// the only part of the analytic path whose cost is worth skipping.
@@ -537,32 +543,22 @@ fn expected_round_stats(
     ops_per_round: usize,
     mp: usize,
 ) -> (f64, f64) {
-    use std::collections::HashMap;
-    use std::sync::{OnceLock, RwLock};
-    type RoundMemo = RwLock<HashMap<(&'static str, u32, usize, usize), (f64, f64)>>;
-    static MEMO: OnceLock<RoundMemo> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| RwLock::new(HashMap::new()));
-    let key = (encoder.name(), a_bits, ops_per_round, mp);
-    if let Some(&hit) = memo.read().expect("round memo poisoned").get(&key) {
-        return hit;
-    }
-
-    let pmf = digit_count_pmf(encoder, a_bits);
-    let (mean, var) = pmf_moments(&pmf);
-    let n = ops_per_round as f64;
-    let round_max = if var <= 0.0 {
-        // Point mass: every column finishes in exactly n·mean.
-        n * mean
-    } else if ops_per_round <= CONV_CROSSOVER_OPERANDS {
-        let sum_pmf = convolve_digit_sum(&pmf, ops_per_round);
-        expected_max_of_iid(&sum_pmf, mp)
-    } else {
-        n * mean + (n * var).sqrt() * std_normal_max_mean(mp)
-    };
-    memo.write()
-        .expect("round memo poisoned")
-        .insert(key, (mean, round_max));
-    (mean, round_max)
+    static MEMO: Memo<(&'static str, u32, usize, usize), (f64, f64)> = OnceLock::new();
+    memoized(&MEMO, (encoder.name(), a_bits, ops_per_round, mp), || {
+        let pmf = digit_count_pmf(encoder, a_bits);
+        let (mean, var) = pmf_moments(&pmf);
+        let n = ops_per_round as f64;
+        let round_max = if var <= 0.0 {
+            // Point mass: every column finishes in exactly n·mean.
+            n * mean
+        } else if ops_per_round <= CONV_CROSSOVER_OPERANDS {
+            let sum_pmf = convolve_digit_sum(&pmf, ops_per_round);
+            expected_max_of_iid(&sum_pmf, mp)
+        } else {
+            n * mean + (n * var).sqrt() * std_normal_max_mean(mp)
+        };
+        (mean, round_max)
+    })
 }
 
 /// Closed-form counterpart of [`sample_serial_cycles`]: the same layer

@@ -11,6 +11,7 @@ use crate::eval::PointResult;
 use crate::grid::ModelRun;
 use crate::pareto::Objective;
 use crate::space::{classic_name, SweepWorkload};
+use tpe_engine::serve::json_escape;
 use tpe_engine::EngineSpec;
 
 /// CSV header matching the per-point row layout. `workload_kind` is
@@ -115,19 +116,6 @@ pub fn to_csv(results: &[PointResult], front: &[usize]) -> String {
     for (i, r) in results.iter().enumerate() {
         out.push_str(&point_csv_row(r, front.binary_search(&i).is_ok()));
         out.push('\n');
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }

@@ -13,14 +13,6 @@ pub use tpe_engine::eval::{effective_numpps, Metrics};
 
 use crate::space::DesignPoint;
 
-/// FNV-1a over a label: the stable per-point seed component. Independent
-/// of sweep order and thread assignment, which is what makes parallel
-/// sweeps byte-identical to serial ones. (The canonical implementation is
-/// [`tpe_engine::fnv1a`], shared with the model-grid executor.)
-pub fn label_hash(label: &str) -> u64 {
-    tpe_engine::fnv1a(label)
-}
-
 /// A design point with its evaluation outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointResult {
@@ -39,8 +31,8 @@ impl PointResult {
 
 /// Evaluates one design point through `cache`. Synthesis and serial
 /// sampling are memoized; the workload model draws from an RNG seeded by
-/// `seed ^ label_hash(point.label())`, so results do not depend on
-/// evaluation order.
+/// `seed ^` [`tpe_engine::fnv1a`] of the point's engine/workload label,
+/// so results do not depend on evaluation order.
 pub fn evaluate(point: &DesignPoint, cache: &EngineCache, seed: u64) -> PointResult {
     evaluate_with_model(point, cache, seed, CycleModel::Sampled)
 }

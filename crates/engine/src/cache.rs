@@ -35,6 +35,11 @@
 //! preceding `repro dse` sweep already paid for, and a long-running
 //! `repro serve` process converges to all-hit steady state.
 //!
+//! Each memo owns the counters of its one counted lookup, so
+//! `EngineCache` keeps none: [`EngineCache::stats`] reads them, and
+//! [`cache_fields`] is the one field list the serve `stats` and `metrics`
+//! ops both report.
+//!
 //! Memoized values are outputs of deterministic functions of their key,
 //! so caching can never change results — the byte-identical golden tests
 //! in `tpe-bench` pin this.
@@ -101,21 +106,20 @@ pub fn canonical_encoding(encoding: EncodingKind) -> EncodingKind {
 }
 
 impl PeKey {
-    /// Extracts the key from an engine spec. The encoding enters the key
-    /// only for OPT3 (whose recoder is inside the PE), and then only as its
+    /// Extracts the key from an engine spec: the synthesis subset of its
+    /// [`PriceKey`]. The encoding enters the key only for OPT3 (whose
+    /// recoder is inside the PE), and then only as its
     /// [`canonical_encoding`] hardware class.
     pub fn of(spec: &EngineSpec) -> Self {
+        let engine = PriceKey::of(spec);
         Self {
-            style: spec.style,
-            dense: match spec.kind {
-                ArchKind::Dense(a) => Some(a),
-                ArchKind::Serial => None,
-            },
-            in_pe_encoding: (spec.style == PeStyle::Opt3)
-                .then_some(canonical_encoding(spec.encoding)),
-            precision: spec.precision,
-            freq_mhz: (spec.freq_ghz * 1e3).round() as u32,
-            node_dnm: (spec.node.nm * 10.0).round() as u32,
+            style: engine.style,
+            dense: engine.dense,
+            in_pe_encoding: (engine.style == PeStyle::Opt3)
+                .then_some(canonical_encoding(engine.encoding)),
+            precision: engine.precision,
+            freq_mhz: engine.freq_mhz,
+            node_dnm: engine.node_dnm,
         }
     }
 }
@@ -151,7 +155,9 @@ pub struct PriceKey {
 }
 
 impl PriceKey {
-    /// Extracts the key from an engine spec.
+    /// Extracts the key from an engine spec — the one place an engine's
+    /// float corner is turned into integer key fields ([`PeKey::of`] and
+    /// [`ModelKey::of`] start from it).
     pub fn of(spec: &EngineSpec) -> Self {
         Self {
             style: spec.style,
@@ -286,41 +292,31 @@ impl SerialLayerRecord {
 /// the same name but different layer content must never share a
 /// [`ModelKey`].
 fn model_content_hash(net: &NetworkModel) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(PRIME);
-    let word = |mut h: u64, v: u64| {
-        for b in v.to_le_bytes() {
-            h = step(h, b);
-        }
-        h
-    };
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    h = word(h, net.layers.len() as u64);
+    let mut h = crate::Fnv1a::default();
+    h.write_u64(net.layers.len() as u64);
     for layer in &net.layers {
-        for b in layer.name.bytes() {
-            h = step(h, b);
+        h.write(layer.name.as_bytes());
+        h.write(&[0]);
+        for dim in [layer.m, layer.n, layer.k, layer.repeats] {
+            h.write_u64(dim as u64);
         }
-        h = step(h, 0);
-        h = word(h, layer.m as u64);
-        h = word(h, layer.n as u64);
-        h = word(h, layer.k as u64);
-        h = word(h, layer.repeats as u64);
         match layer.precision {
-            None => h = step(h, 0),
+            None => h.write(&[0]),
             Some(p) => {
-                h = step(h, 1);
-                h = word(h, u64::from(p.a_bits));
-                h = word(h, u64::from(p.b_bits));
-                h = word(h, u64::from(p.acc_bits));
+                h.write(&[1]);
+                for bits in [p.a_bits, p.b_bits, p.acc_bits] {
+                    h.write_u64(u64::from(bits));
+                }
             }
         }
     }
-    h
+    h.finish()
 }
 
 /// The identity of one whole-model evaluation — everything the model
 /// walk ([`crate::schedule::evaluate_model_with`]) sees: the engine's
-/// price/cycle-relevant subset (the [`PriceKey`] fields), the model's
+/// full [`PriceKey`] (memory corner included — the roofline changes
+/// per-layer delays, so corners must never share a record), the model's
 /// name and layer-content hash, the exact cell seed and sampling caps,
 /// and the cycle backend.
 ///
@@ -330,19 +326,9 @@ fn model_content_hash(net: &NetworkModel) -> u64 {
 /// shares one analytic record.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ModelKey {
-    /// PE microarchitecture.
-    pub style: PeStyle,
-    /// Dense topology, if any.
-    pub dense: Option<ClassicArch>,
-    /// Raw multiplicand encoding.
-    pub encoding: EncodingKind,
-    /// Engine operand/accumulator precision (per-layer overrides are
-    /// content-hashed with the layers).
-    pub precision: Precision,
-    /// Clock constraint in MHz.
-    pub freq_mhz: u32,
-    /// Process feature size in tenths of a nm.
-    pub node_dnm: u32,
+    /// The engine (per-layer precision overrides are content-hashed with
+    /// the layers).
+    pub engine: PriceKey,
     /// Network name (the identity half of the model axis).
     pub model: String,
     /// `model_content_hash` over the layer list (the content half).
@@ -356,13 +342,6 @@ pub struct ModelKey {
     pub max_operands: usize,
     /// Which cycle backend produced the record.
     pub cycle_model: CycleModel,
-    /// On-chip SRAM capacity in KiB (0 = unbounded): the roofline changes
-    /// per-layer delays, so memory corners must never share a record.
-    pub sram_kib: u32,
-    /// SRAM bandwidth in bytes/cycle (0 = unbounded).
-    pub sram_bw: u32,
-    /// DRAM bandwidth in bytes/cycle (0 = unbounded).
-    pub dram_bw: u32,
 }
 
 impl ModelKey {
@@ -371,24 +350,13 @@ impl ModelKey {
     pub fn of(spec: &EngineSpec, net: &NetworkModel, seed: u64, caps: SerialSampleCaps) -> Self {
         let analytic = caps.model == CycleModel::Analytic;
         Self {
-            style: spec.style,
-            dense: match spec.kind {
-                ArchKind::Dense(a) => Some(a),
-                ArchKind::Serial => None,
-            },
-            encoding: spec.encoding,
-            precision: spec.precision,
-            freq_mhz: (spec.freq_ghz * 1e3).round() as u32,
-            node_dnm: (spec.node.nm * 10.0).round() as u32,
+            engine: PriceKey::of(spec),
             model: net.name.clone(),
             layers_hash: model_content_hash(net),
             seed: if analytic { 0 } else { seed },
             max_rounds: if analytic { 0 } else { caps.max_rounds },
             max_operands: if analytic { 0 } else { caps.max_operands },
             cycle_model: caps.model,
-            sram_kib: spec.memory.sram_kib,
-            sram_bw: spec.memory.sram_bw,
-            dram_bw: spec.memory.dram_bw,
         }
     }
 }
@@ -474,7 +442,8 @@ impl ModelRecord {
     }
 }
 
-/// Cache hit/miss counters at one observation point, per map.
+/// Cache hit/miss counters at one observation point, per lookup family
+/// (see [`EngineCache::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// PE-pricing lookups served from memory.
@@ -504,6 +473,22 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// Every counter under its wire name, in reply order — the one list
+    /// the serve `stats` and `metrics` ops render ([`cache_fields`]).
+    pub fn counters(&self) -> [(&'static str, u64); 9] {
+        [
+            ("price_hits", self.price_hits),
+            ("price_misses", self.price_misses),
+            ("cycle_hits", self.cycle_hits),
+            ("cycle_misses", self.cycle_misses),
+            ("model_hits", self.model_hits),
+            ("model_misses", self.model_misses),
+            ("price_lookups", self.price_lookups),
+            ("cycle_lookups", self.cycle_lookups),
+            ("model_lookups", self.model_lookups),
+        ]
+    }
+
     /// Total lookups served from memory.
     pub fn hits(&self) -> u64 {
         self.price_hits + self.cycle_hits + self.model_hits
@@ -646,16 +631,20 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
     }
 }
 
-/// One sharded memo map: `SHARDS` independent `RwLock`ed shards selected
-/// by key hash, with an optional per-shard entry capacity. A bounded memo
-/// evicts by second chance (CLOCK); hits only set a reference bit, so a
-/// warm hit never takes the write lock.
+/// One sharded, counted memo map: `SHARDS` independent `RwLock`ed shards
+/// selected by key hash, an optional per-shard entry capacity, and the
+/// counters of its one counted lookup ([`Memo::get_or_insert_with`]). A
+/// bounded memo evicts by second chance (CLOCK); hits only set a
+/// reference bit, so a warm hit never takes the write lock.
 #[derive(Debug)]
 struct Memo<K, V> {
     shards: [RwLock<Shard<K, V>>; SHARDS],
     /// Entries per shard before eviction (`usize::MAX`: unbounded).
     shard_capacity: usize,
     evictions: AtomicU64,
+    lookups: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
@@ -669,6 +658,9 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
             }),
             shard_capacity,
             evictions: AtomicU64::new(0),
+            lookups: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
@@ -690,6 +682,20 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
             slot.referenced.store(true, Ordering::Relaxed);
         }
         Some(slot.value.clone())
+    }
+
+    /// The memoized value for `key`, running `compute` on a miss: the one
+    /// counted lookup (the lookup, then the hit or the miss). `compute`
+    /// runs outside any lock; racing threads may both compute a cold key,
+    /// and the first insert wins ([`Self::insert`]).
+    fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        if let Some(value) = self.get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return value;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.insert(key, compute())
     }
 
     /// Inserts `value` unless `key` is already present (first insert
@@ -720,6 +726,13 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
             .sum()
     }
 
+    /// Inserts every entry, uncounted (first insert wins).
+    fn import(&self, entries: Vec<(K, V)>) {
+        for (key, value) in entries {
+            self.insert(key, value);
+        }
+    }
+
     fn export(&self) -> Vec<(K, V)> {
         let mut out = Vec::new();
         for shard in &self.shards {
@@ -747,6 +760,39 @@ pub struct MapOccupancy {
     pub evictions: u64,
 }
 
+/// The cache's `(name, value)` reply fields, one list for both serve
+/// ops: every counter of `now`; every counter of a `stats` polling
+/// `window` as `since_*`; then each map's entries (plus the older
+/// `priced`/`cycle`/`model` aliases of the records, cycles and models
+/// counts) and evictions, from [`EngineCache::occupancy`]. The
+/// `*_entries` fields are levels; all others are counts.
+pub fn cache_fields(
+    now: &CacheStats,
+    window: Option<&CacheStats>,
+    occupancy: [(&'static str, MapOccupancy); 4],
+) -> Vec<(String, u64)> {
+    let mut fields: Vec<(String, u64)> = now
+        .counters()
+        .map(|(name, v)| (name.to_string(), v))
+        .to_vec();
+    if let Some(window) = window {
+        fields.extend(
+            window
+                .counters()
+                .map(|(name, v)| (format!("since_{name}"), v)),
+        );
+    }
+    let [(_, records), _, (_, cycles), (_, models)] = occupancy;
+    for (alias, o) in [("priced", records), ("cycle", cycles), ("model", models)] {
+        fields.push((format!("{alias}_entries"), o.entries as u64));
+    }
+    for (map, o) in occupancy {
+        fields.push((format!("{map}_entries"), o.entries as u64));
+        fields.push((format!("{map}_evictions"), o.evictions));
+    }
+    fields
+}
+
 /// Sharded concurrent memoization of pricing and cycle outcomes.
 ///
 /// `None` pricing values record corners where the design cannot close
@@ -763,15 +809,6 @@ pub struct EngineCache {
     prices: Memo<PriceKey, Option<EnginePrice>>,
     cycles: Memo<CycleKey, SerialLayerRecord>,
     models: Memo<ModelKey, ModelRecord>,
-    price_hits: AtomicU64,
-    price_misses: AtomicU64,
-    cycle_hits: AtomicU64,
-    cycle_misses: AtomicU64,
-    price_lookups: AtomicU64,
-    cycle_lookups: AtomicU64,
-    model_hits: AtomicU64,
-    model_misses: AtomicU64,
-    model_lookups: AtomicU64,
     /// Counter levels at the last [`Self::window_delta`] call — the
     /// observation window the serve `stats` op reports per-window rates
     /// over.
@@ -805,15 +842,6 @@ impl EngineCache {
             prices: Memo::new(shard_capacity),
             cycles: Memo::new(shard_capacity),
             models: Memo::new(shard_capacity),
-            price_hits: AtomicU64::new(0),
-            price_misses: AtomicU64::new(0),
-            cycle_hits: AtomicU64::new(0),
-            cycle_misses: AtomicU64::new(0),
-            price_lookups: AtomicU64::new(0),
-            cycle_lookups: AtomicU64::new(0),
-            model_hits: AtomicU64::new(0),
-            model_misses: AtomicU64::new(0),
-            model_lookups: AtomicU64::new(0),
             last_window: Mutex::new(CacheStats::default()),
         }
     }
@@ -842,60 +870,36 @@ impl EngineCache {
         key: PeKey,
         price: impl FnOnce() -> Option<PeRecord>,
     ) -> Option<PeRecord> {
-        self.price_lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = self.records.get(&key) {
-            self.price_hits.fetch_add(1, Ordering::Relaxed);
-            return rec;
-        }
-        self.price_misses.fetch_add(1, Ordering::Relaxed);
-        self.records.insert(key, price())
+        self.records.get_or_insert_with(key, price)
     }
 
     /// Returns the assembled engine price for `key`, running `assemble` on
     /// a miss.
     ///
-    /// This is a derived layer over [`Self::pe_record`]: hits count as
-    /// `price_hits`, while a miss delegates to `assemble` (which consults
-    /// `pe_record` and does the counting there) — so the hit/miss totals
-    /// read exactly as if only the synthesis map existed, just with the
-    /// support-logic and peak-throughput assembly memoized too.
+    /// A derived layer over [`Self::pe_record`]: a miss's `assemble`
+    /// consults `pe_record` exactly once, which accounts the miss (see
+    /// [`Self::stats`]).
     pub fn engine_price(
         &self,
         key: PriceKey,
         assemble: impl FnOnce() -> Option<EnginePrice>,
     ) -> Option<EnginePrice> {
-        if let Some(price) = self.prices.get(&key) {
-            // A derived-layer hit is one accounted lookup; a miss counts
-            // nothing here — `assemble` consults `pe_record`, which does
-            // the lookup *and* hit/miss accounting, keeping the
-            // hits+misses == lookups invariant exact.
-            self.price_lookups.fetch_add(1, Ordering::Relaxed);
-            self.price_hits.fetch_add(1, Ordering::Relaxed);
-            return price;
-        }
-        self.prices.insert(key, assemble())
+        self.prices.get_or_insert_with(key, assemble)
     }
 
     /// Returns the serial-cycle record for `key`, running `sample` on a
-    /// miss. Same race discipline as [`Self::pe_record`].
+    /// miss.
     pub fn serial_record(
         &self,
         key: CycleKey,
         sample: impl FnOnce() -> SerialLayerRecord,
     ) -> SerialLayerRecord {
-        self.cycle_lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = self.cycles.get(&key) {
-            self.cycle_hits.fetch_add(1, Ordering::Relaxed);
-            return rec;
-        }
-        self.cycle_misses.fetch_add(1, Ordering::Relaxed);
-        self.cycles.insert(key, sample())
+        self.cycles.get_or_insert_with(key, sample)
     }
 
     /// Returns the whole-model record for `key`, running `assemble` (the
-    /// full per-layer walk) on a miss. Same race discipline as
-    /// [`Self::pe_record`]; the returned record is a cheap clone (`Arc`
-    /// bumps and plain copies).
+    /// full per-layer walk) on a miss; the returned record is a cheap
+    /// clone (`Arc` bumps and plain copies).
     ///
     /// Accounting note: a miss's `assemble` closure consults the price
     /// and cycle maps internally — those lookups keep counting in their
@@ -906,27 +910,26 @@ impl EngineCache {
         key: ModelKey,
         assemble: impl FnOnce() -> ModelRecord,
     ) -> ModelRecord {
-        self.model_lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = self.models.get(&key) {
-            self.model_hits.fetch_add(1, Ordering::Relaxed);
-            return rec;
-        }
-        self.model_misses.fetch_add(1, Ordering::Relaxed);
-        self.models.insert(key, assemble())
+        self.models.get_or_insert_with(key, assemble)
     }
 
-    /// Counters at this instant.
+    /// Counters at this instant, read from the memos. The price family
+    /// reads as if only the synthesis map existed: a price-map hit is one
+    /// price lookup and hit, and a price-map miss is accounted by the one
+    /// synthesis lookup its assembly makes.
     pub fn stats(&self) -> CacheStats {
+        let n = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let (records, prices) = (&self.records, &self.prices);
         CacheStats {
-            price_hits: self.price_hits.load(Ordering::Relaxed),
-            price_misses: self.price_misses.load(Ordering::Relaxed),
-            cycle_hits: self.cycle_hits.load(Ordering::Relaxed),
-            cycle_misses: self.cycle_misses.load(Ordering::Relaxed),
-            price_lookups: self.price_lookups.load(Ordering::Relaxed),
-            cycle_lookups: self.cycle_lookups.load(Ordering::Relaxed),
-            model_hits: self.model_hits.load(Ordering::Relaxed),
-            model_misses: self.model_misses.load(Ordering::Relaxed),
-            model_lookups: self.model_lookups.load(Ordering::Relaxed),
+            price_hits: n(&records.hits) + n(&prices.hits),
+            price_misses: n(&records.misses),
+            price_lookups: n(&records.lookups) + n(&prices.hits),
+            cycle_hits: n(&self.cycles.hits),
+            cycle_misses: n(&self.cycles.misses),
+            cycle_lookups: n(&self.cycles.lookups),
+            model_hits: n(&self.models.hits),
+            model_misses: n(&self.models.misses),
+            model_lookups: n(&self.models.lookups),
         }
     }
 
@@ -963,29 +966,15 @@ impl EngineCache {
     /// warm-from-snapshot replay read ≈100% hit rate. A bounded cache
     /// keeps at most its capacity, evicting as lookups would.
     pub fn import(&self, contents: CacheContents) {
-        for (key, rec) in contents.records {
-            self.records.insert(key, rec);
-        }
-        for (key, price) in contents.prices {
-            self.prices.insert(key, price);
-        }
-        for (key, rec) in contents.cycles {
-            self.cycles.insert(key, rec);
-        }
-        for (key, rec) in contents.models {
-            self.models.insert(key, rec);
-        }
+        self.records.import(contents.records);
+        self.prices.import(contents.prices);
+        self.cycles.import(contents.cycles);
+        self.models.import(contents.models);
     }
 
     /// Number of distinct PE/corner pairs priced.
     pub fn priced_len(&self) -> usize {
         self.records.len()
-    }
-
-    /// Number of distinct assembled engine prices memoized (the derived
-    /// map over the synthesis records).
-    pub fn prices_len(&self) -> usize {
-        self.prices.len()
     }
 
     /// Number of distinct serial-cycle evaluations memoized.
@@ -1011,7 +1000,7 @@ impl EngineCache {
 
     /// Total entries across all four maps (what a snapshot would carry).
     pub fn entry_count(&self) -> usize {
-        self.priced_len() + self.prices_len() + self.cycles_len() + self.models_len()
+        self.occupancy().iter().map(|(_, o)| o.entries).sum()
     }
 
     /// Whether nothing has been memoized yet.
@@ -1307,6 +1296,13 @@ mod tests {
         assert_eq!(fresh.model_record(k, || panic!("import must hit")), rec);
     }
 
+    /// The first `n` keys that share key 0's shard.
+    fn same_shard(memo: &Memo<u64, u64>, n: usize) -> Vec<u64> {
+        let home = memo.shard(&0) as *const _;
+        let same = (0..).filter(|k| std::ptr::eq(memo.shard(k), home));
+        same.take(n).collect()
+    }
+
     /// Second chance: entries start referenced, so the first eviction
     /// from a full shard sweeps a whole revolution, clearing every bit,
     /// before it evicts exactly one. After that, an insert evicts the
@@ -1315,11 +1311,7 @@ mod tests {
     #[test]
     fn bounded_memo_evicts_unreferenced_entries_first() {
         let memo: Memo<u64, u64> = Memo::new(4);
-        let home = memo.shard(&0) as *const _;
-        let same: Vec<u64> = (0..)
-            .filter(|k| std::ptr::eq(memo.shard(k), home))
-            .take(6)
-            .collect();
+        let same = same_shard(&memo, 6);
         let present = |k: &u64| memo.shard(k).read().unwrap().map.contains_key(k);
         for &k in &same[..4] {
             assert_eq!(memo.insert(k, k * 10), k * 10);
@@ -1351,11 +1343,7 @@ mod tests {
     #[test]
     fn bounded_memo_at_two_entries_per_shard_evicts_every_stale_key() {
         let memo: Memo<u64, u64> = Memo::new(2);
-        let home = memo.shard(&0) as *const _;
-        let same: Vec<u64> = (0..)
-            .filter(|k| std::ptr::eq(memo.shard(k), home))
-            .take(48)
-            .collect();
+        let same = same_shard(&memo, 48);
         let present = |k: &u64| memo.shard(k).read().unwrap().map.contains_key(k);
         for (i, &k) in same.iter().enumerate() {
             memo.insert(k, k);
@@ -1374,9 +1362,7 @@ mod tests {
     fn bounded_memo_tables_keep_their_size_under_churn() {
         let memo: Memo<u64, u64> = Memo::new(256);
         let fresh = HashMap::<u64, Slot<u64>>::with_capacity(256).capacity();
-        let home = memo.shard(&0) as *const _;
-        let same = (0..).filter(|k| std::ptr::eq(memo.shard(k), home));
-        for k in same.take(4096) {
+        for k in same_shard(&memo, 4096) {
             memo.insert(k, k);
             let shard = memo.shard(&k).read().unwrap();
             assert!(shard.map.len() <= 256);

@@ -277,60 +277,35 @@ impl<'c> Evaluator<'c> {
         let price = self.price(spec)?;
 
         let freq = spec.freq_ghz;
-        let (cycles, busy_frac, model_rec) = match spec.kind {
-            ArchKind::Dense(arch) => {
-                let (cycles, rec) = match workload {
-                    SweepWorkload::Layer(w) => (
-                        arch.at_paper_config().estimate_cycles(w.m, w.n, w.k) as f64
-                            * w.repeats as f64,
-                        None,
-                    ),
-                    SweepWorkload::Model(net) => {
-                        let point_seed =
-                            seed ^ fnv1a(&format!("{}/{}", spec.seed_label(), workload.name()));
-                        // One model-map lookup; the record's cycle sum is
-                        // bit-identical to the old `dense_model_cycles`
-                        // accumulation (same closed-form terms, same
-                        // order).
-                        let rec = self.model_record(spec, &price, net, point_seed);
-                        (rec.cycles, Some(rec))
-                    }
-                };
-                // Dense arrays clock every PE every cycle, useful or not.
-                (cycles, 1.0, rec)
-            }
-            ArchKind::Serial => {
-                let point_seed =
-                    seed ^ fnv1a(&format!("{}/{}", spec.seed_label(), workload.name()));
-                match workload {
-                    SweepWorkload::Layer(layer) => {
-                        let rec = cached_serial_cycles(
-                            self.cache,
-                            spec,
-                            layer,
-                            point_seed,
-                            SerialSampleCaps {
-                                model: self.cycle_model,
-                                ..SampleProfile::Sweep.caps_for(spec.precision)
-                            },
-                        );
-                        (rec.cycles, rec.utilization(), None)
-                    }
-                    SweepWorkload::Model(net) => {
-                        // One model-map lookup; the pooled busy fraction
-                        // reproduces `serial_model_cycles`' aggregate
-                        // bit for bit (same f64 addition sequence, same
-                        // 0-cycle guard).
-                        let rec = self.model_record(spec, &price, net, point_seed);
+        let point_seed = || seed ^ fnv1a(&format!("{}/{}", spec.seed_label(), workload.name()));
+        let (cycles, busy_frac, model_rec) = match (workload, spec.kind) {
+            (SweepWorkload::Model(net), kind) => {
+                // One model-map lookup. The pooled serial busy fraction
+                // reproduces `serial_model_cycles` bit for bit; dense
+                // arrays clock every PE every cycle, useful or not.
+                let rec = self.model_record(spec, &price, net, point_seed());
+                let busy_frac = match kind {
+                    ArchKind::Dense(_) => 1.0,
+                    ArchKind::Serial if rec.cycles > 0.0 => {
                         let mp = crate::schedule::serial_config(spec).mp;
-                        let busy_frac = if rec.cycles > 0.0 {
-                            rec.busy_sum / (rec.cycles * mp as f64)
-                        } else {
-                            0.0
-                        };
-                        (rec.cycles, busy_frac, Some(rec))
+                        rec.busy_sum / (rec.cycles * mp as f64)
                     }
-                }
+                    ArchKind::Serial => 0.0,
+                };
+                (rec.cycles, busy_frac, Some(rec))
+            }
+            (SweepWorkload::Layer(w), ArchKind::Dense(arch)) => (
+                arch.at_paper_config().estimate_cycles(w.m, w.n, w.k) as f64 * w.repeats as f64,
+                1.0,
+                None,
+            ),
+            (SweepWorkload::Layer(layer), ArchKind::Serial) => {
+                let caps = SerialSampleCaps {
+                    model: self.cycle_model,
+                    ..SampleProfile::Sweep.caps_for(spec.precision)
+                };
+                let rec = cached_serial_cycles(self.cache, spec, layer, point_seed(), caps);
+                (rec.cycles, rec.utilization(), None)
             }
         };
 
@@ -367,8 +342,12 @@ impl<'c> Evaluator<'c> {
 
         let (delay_us, energy_uj, utilization) = if spec.memory.is_unbounded() {
             // The pre-memory arithmetic, expression for expression — the
-            // sweep goldens pin these bit patterns.
-            let delay_us = cycles / (freq * 1e3);
+            // sweep goldens pin these bit patterns. A model point reads
+            // the record's summed per-layer delay, so it reports exactly
+            // what `model_report` does.
+            let delay_us = model_rec
+                .as_ref()
+                .map_or(cycles / (freq * 1e3), |r| r.delay_us);
             // Energy: fJ per PE instance-cycle at the record's activity
             // levels.
             let pe_cycles = cycles * price.instances;
@@ -828,6 +807,28 @@ mod tests {
             // cycles by the clock, the report sums per-layer delays.
             let rel = (report.delay_us - point.delay_us).abs() / point.delay_us;
             assert!(rel < 1e-12, "{}: {rel}", spec.label());
+        }
+    }
+
+    /// A model point and the model's report read one record, and report
+    /// one delay to the bit, over the serial roster at W8 and W16.
+    #[test]
+    fn model_point_delay_is_bit_equal_to_the_report() {
+        use tpe_arith::Precision;
+        let cache = EngineCache::new();
+        let eval = Evaluator::new(&cache);
+        let net = models::resnet18();
+        let serial = crate::roster::paper_roster()
+            .into_iter()
+            .filter(|spec| spec.kind == ArchKind::Serial);
+        for spec in serial {
+            for precision in [Precision::W8, Precision::W16] {
+                let spec = spec.clone().with_precision(precision);
+                let point = eval.metrics(&spec, &SweepWorkload::Model(net.clone()), 42);
+                let report = eval.model_report(&spec, &net, 42).unwrap();
+                let (p, r) = (point.unwrap().delay_us, report.delay_us);
+                assert_eq!(p.to_bits(), r.to_bits(), "{}", spec.label());
+            }
         }
     }
 

@@ -25,6 +25,7 @@
 //! [`sample_serial_cycles`]: tpe_core::arch::workload::sample_serial_cycles
 
 use std::collections::HashMap;
+use std::fmt::Write;
 
 use tpe_core::arch::workload::{analytic_serial_cycles, sample_serial_cycles, SerialCycleStats};
 use tpe_core::arch::ArchKind;
@@ -338,36 +339,13 @@ pub fn serial_config(engine: &EngineSpec) -> BitsliceConfig {
 /// Stable per-layer seed: mixes the caller's seed with the layer's index
 /// and name so results are independent of evaluation order.
 ///
-/// Streams FNV-1a over the exact bytes `format!("{index}/{name}")` would
-/// produce — decimal digits of the index, `/`, the name — without the
-/// heap allocation. This sits on the innermost model-walk path (once per
-/// layer per walk), and the golden CSVs pin the derived sampled seeds, so
-/// byte-for-byte equivalence with the `format!` form is load-bearing
-/// (tested below).
+/// Formats `"{index}/{name}"` straight into the hasher, without
+/// allocating; the golden CSVs pin the derived seeds, so equivalence with
+/// the `format!` form is load-bearing (tested below).
 fn layer_seed(seed: u64, index: usize, layer: &LayerShape) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut step = |b: u8| h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    // Decimal digits of `index`, most significant first (20 covers
-    // u64::MAX; usize is never wider here).
-    let mut digits = [0u8; 20];
-    let mut rest = index;
-    let mut len = 0;
-    loop {
-        digits[len] = b'0' + (rest % 10) as u8;
-        len += 1;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
-    }
-    for &d in digits[..len].iter().rev() {
-        step(d);
-    }
-    step(b'/');
-    for b in layer.name.bytes() {
-        step(b);
-    }
-    seed ^ h
+    let mut h = crate::Fnv1a::default();
+    write!(h, "{index}/{}", layer.name).expect("hashing cannot fail");
+    seed ^ h.finish()
 }
 
 /// Total cycles of a whole model on a dense topology (closed-form; no

@@ -89,7 +89,10 @@
 //! and compute windowed percentiles server-side data alone. The `stats` op
 //! additionally reports `since_*` cache-counter deltas over its own
 //! polling window plus process uptime (minus an optional caller-supplied
-//! monotonic `origin`). Both report each map's entries and evictions
+//! monotonic `origin`). Both read one list of cache fields,
+//! [`cache_fields`]: `stats` renders it and `metrics` folds it in as
+//! `cache_…` counters and gauges, so a field the two share reports one
+//! value. Both report each map's entries and evictions
 //! (`{records,prices,cycles,models}_{entries,evictions}` in `stats`,
 //! `cache_…` gauges and counters in `metrics`); the older
 //! `priced_entries`/`cycle_entries`/`model_entries` names (and their
@@ -122,7 +125,7 @@ use std::time::Instant;
 use tpe_obs::{Counter, Gauge, Histogram, Registry};
 use tpe_workloads::{LayerShape, NetworkModel};
 
-use crate::cache::EngineCache;
+use crate::cache::{cache_fields, EngineCache};
 use crate::caps::CycleModel;
 use crate::eval::Evaluator;
 use crate::roster;
@@ -607,12 +610,12 @@ fn respond(
     match op {
         "engine" => {
             let spec = resolve_engine(fields)?;
+            let head = format!("\"op\":\"engine\",\"engine\":\"{}\"", json_escape(&spec.label()));
             let body = match eval.price(&spec) {
                 Some(p) => format!(
-                    "\"op\":\"engine\",\"engine\":\"{}\",\"feasible\":true,\
+                    "{head},\"feasible\":true,\
                      \"area_um2\":{:.3},\"e_active_fj\":{:.4},\"e_idle_fj\":{:.4},\
                      \"instances\":{:.0},\"lanes_total\":{:.0},\"peak_tops\":{:.4}",
-                    json_escape(&spec.label()),
                     p.area_um2,
                     p.e_active_fj,
                     p.e_idle_fj,
@@ -620,10 +623,7 @@ fn respond(
                     p.lanes_total,
                     p.peak_tops
                 ),
-                None => format!(
-                    "\"op\":\"engine\",\"engine\":\"{}\",\"feasible\":false",
-                    json_escape(&spec.label())
-                ),
+                None => format!("{head},\"feasible\":false"),
             };
             one(body)
         }
@@ -645,20 +645,17 @@ fn respond(
             let layer = LayerShape::new(&name, m, n, k, repeats);
             layer.validate().map_err(|e| e.to_string())?;
             let workload = SweepWorkload::Layer(layer);
+            let head = format!(
+                "\"op\":\"layer\",\"engine\":\"{}\",\"workload\":\"{}\",\"seed\":{seed}{cycle_tag}",
+                json_escape(&spec.label()),
+                json_escape(&name)
+            );
             let body = match eval.metrics(&spec, &workload, seed) {
                 Some(mt) => format!(
-                    "\"op\":\"layer\",\"engine\":\"{}\",\"workload\":\"{}\",\"seed\":{seed}{cycle_tag},\
-                     \"feasible\":true,{}",
-                    json_escape(&spec.label()),
-                    json_escape(&name),
+                    "{head},\"feasible\":true,{}",
                     metrics_body(&mt, !spec.memory.is_unbounded())
                 ),
-                None => format!(
-                    "\"op\":\"layer\",\"engine\":\"{}\",\"workload\":\"{}\",\"seed\":{seed}{cycle_tag},\
-                     \"feasible\":false",
-                    json_escape(&spec.label()),
-                    json_escape(&name)
-                ),
+                None => format!("{head},\"feasible\":false"),
             };
             one(body)
         }
@@ -670,16 +667,19 @@ fn respond(
                 .into_iter()
                 .find(|n| n.name.eq_ignore_ascii_case(model_name))
                 .ok_or_else(|| format!("unknown model `{model_name}`"))?;
+            let head = format!(
+                "\"op\":\"model\",\"engine\":\"{}\",\"model\":\"{}\",\"seed\":{seed}{cycle_tag}",
+                json_escape(&spec.label()),
+                json_escape(&net.name)
+            );
             let body = match eval.model_report(&spec, &net, seed) {
                 Some(r) => {
                     let mut body = format!(
-                        "\"op\":\"model\",\"engine\":\"{}\",\"model\":\"{}\",\"seed\":{seed}{cycle_tag},\
+                        "{head},\
                          \"feasible\":true,\"layers\":{},\"macs\":{},\"cycles\":{:.0},\
                          \"delay_us\":{:.4},\"energy_uj\":{:.6},\"gops\":{:.3},\
                          \"peak_tops\":{:.4},\"utilization\":{:.5},\"power_w\":{:.5},\
                          \"tops_per_w\":{:.4},\"area_um2\":{:.3}",
-                        json_escape(&spec.label()),
-                        json_escape(&net.name),
                         r.layer_count(),
                         r.total_macs,
                         r.cycles,
@@ -707,12 +707,7 @@ fn respond(
                     }
                     body
                 }
-                None => format!(
-                    "\"op\":\"model\",\"engine\":\"{}\",\"model\":\"{}\",\"seed\":{seed}{cycle_tag},\
-                     \"feasible\":false",
-                    json_escape(&spec.label()),
-                    json_escape(&net.name)
-                ),
+                None => format!("{head},\"feasible\":false"),
             };
             one(body)
         }
@@ -727,77 +722,27 @@ fn respond(
             ))
         }
         "stats" => {
-            let s = cache.stats();
-            let w = cache.window_delta();
             let origin = fields.uint_or("origin", 0)?;
-            let occupancy: String = cache
-                .occupancy()
-                .iter()
-                .map(|(map, o)| {
-                    format!(
-                        ",\"{map}_entries\":{},\"{map}_evictions\":{}",
-                        o.entries, o.evictions
-                    )
-                })
-                .collect();
-            one(format!(
-                "\"op\":\"stats\",\"price_hits\":{},\"price_misses\":{},\
-                 \"cycle_hits\":{},\"cycle_misses\":{},\
-                 \"model_hits\":{},\"model_misses\":{},\"hit_rate\":{:.4},\
-                 \"price_lookups\":{},\"cycle_lookups\":{},\"model_lookups\":{},\
-                 \"priced_entries\":{},\"cycle_entries\":{},\"model_entries\":{},\
-                 \"since_price_hits\":{},\"since_price_misses\":{},\
-                 \"since_cycle_hits\":{},\"since_cycle_misses\":{},\
-                 \"since_model_hits\":{},\"since_model_misses\":{},\
-                 \"since_price_lookups\":{},\"since_cycle_lookups\":{},\
-                 \"since_model_lookups\":{},\
-                 \"since_hit_rate\":{:.4},\"uptime_ms\":{}{occupancy}",
-                s.price_hits,
-                s.price_misses,
-                s.cycle_hits,
-                s.cycle_misses,
-                s.model_hits,
-                s.model_misses,
-                s.hit_rate(),
-                s.price_lookups,
-                s.cycle_lookups,
-                s.model_lookups,
-                cache.priced_len(),
-                cache.cycles_len(),
-                cache.models_len(),
-                w.price_hits,
-                w.price_misses,
-                w.cycle_hits,
-                w.cycle_misses,
-                w.model_hits,
-                w.model_misses,
-                w.price_lookups,
-                w.cycle_lookups,
-                w.model_lookups,
-                w.hit_rate(),
+            let (now, window) = (cache.stats(), cache.window_delta());
+            let mut body = format!(
+                "\"op\":\"stats\",\"hit_rate\":{:.4},\"since_hit_rate\":{:.4},\"uptime_ms\":{}",
+                now.hit_rate(),
+                window.hit_rate(),
                 tpe_obs::uptime_ms().saturating_sub(origin)
-            ))
+            );
+            for (name, value) in cache_fields(&now, Some(&window), cache.occupancy()) {
+                body.push_str(&format!(",\"{name}\":{value}"));
+            }
+            one(body)
         }
         "metrics" => {
             let mut snap = registry.snapshot();
-            let s = cache.stats();
-            snap.set_counter("cache_price_hits", s.price_hits);
-            snap.set_counter("cache_price_misses", s.price_misses);
-            snap.set_counter("cache_cycle_hits", s.cycle_hits);
-            snap.set_counter("cache_cycle_misses", s.cycle_misses);
-            snap.set_counter("cache_model_hits", s.model_hits);
-            snap.set_counter("cache_model_misses", s.model_misses);
-            snap.set_counter("cache_price_lookups", s.price_lookups);
-            snap.set_counter("cache_cycle_lookups", s.cycle_lookups);
-            snap.set_counter("cache_model_lookups", s.model_lookups);
-            // Aliases of `cache_{records,cycles,models}_entries` below,
-            // kept for clients that read the older names.
-            snap.set_gauge("cache_priced_entries", cache.priced_len() as i64);
-            snap.set_gauge("cache_cycle_entries", cache.cycles_len() as i64);
-            snap.set_gauge("cache_model_entries", cache.models_len() as i64);
-            for (map, o) in cache.occupancy() {
-                snap.set_gauge(&format!("cache_{map}_entries"), o.entries as i64);
-                snap.set_counter(&format!("cache_{map}_evictions"), o.evictions);
+            for (name, value) in cache_fields(&cache.stats(), None, cache.occupancy()) {
+                if name.ends_with("_entries") {
+                    snap.set_gauge(&format!("cache_{name}"), value as i64);
+                } else {
+                    snap.set_counter(&format!("cache_{name}"), value);
+                }
             }
             match fields.opt_str("format")? {
                 Some("prometheus") => one(format!(
@@ -1771,6 +1716,14 @@ mod tests {
         assert_eq!(stats.lookups(), stats.hits() + stats.misses());
     }
 
+    /// The numeric `field` of a reply line, as a u64.
+    fn num(resp: &str, field: &str) -> u64 {
+        match parse_flat_object(resp).unwrap().get(field) {
+            Some(JsonValue::Num(v)) => *v as u64,
+            other => panic!("{field} = {other:?} in {resp}"),
+        }
+    }
+
     /// Model ops keep the model map's accounting invariant visible over
     /// the wire: after a cold + warm `model` request against an isolated
     /// cache, `model_hits + model_misses == model_lookups` in the stats
@@ -1779,15 +1732,6 @@ mod tests {
     #[test]
     fn model_op_accounting_balances_over_the_wire() {
         let cache = EngineCache::new();
-        let num = |resp: &str, field: &str| -> u64 {
-            let needle = format!("\"{field}\":");
-            let tail = &resp[resp.find(&needle).expect(field) + needle.len()..];
-            tail[..tail
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(tail.len())]
-                .parse()
-                .expect(field)
-        };
         let req = r#"{"id":1,"op":"model","engine":"OPT4E[EN-T]/28nm@2.00GHz","model":"resnet18"}"#;
         let (cold, _) = handle_line(req, &cache);
         let (warm, _) = handle_line(req, &cache);
@@ -1812,15 +1756,6 @@ mod tests {
     #[test]
     fn stats_op_windows_cache_deltas_between_polls() {
         let cache = EngineCache::new();
-        let num = |resp: &str, field: &str| -> u64 {
-            let needle = format!("\"{field}\":");
-            let tail = &resp[resp.find(&needle).expect(field) + needle.len()..];
-            tail[..tail
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(tail.len())]
-                .parse()
-                .expect(field)
-        };
         handle_line(
             r#"{"id":1,"op":"engine","engine":"OPT4E[EN-T]/28nm@2.00GHz"}"#,
             &cache,
@@ -1858,6 +1793,63 @@ mod tests {
         assert_eq!(num(&offset, "uptime_ms"), 0, "{offset}");
         let (rel, _) = handle_line(r#"{"id":7,"op":"stats","origin":0}"#, &cache);
         assert!(num(&rel, "uptime_ms") >= up, "{rel}");
+    }
+
+    /// `stats` and `metrics` read the same cache instruments: after a
+    /// mixed request sequence over a small bounded cache (so evictions
+    /// move too), every cache field the two replies share carries one
+    /// value, and each reply's cache field names are exactly the
+    /// protocol's.
+    #[test]
+    fn stats_and_metrics_report_the_same_cache_fields() {
+        let cache = EngineCache::bounded(16);
+        for line in [
+            r#"{"id":1,"op":"engine","engine":"OPT4E[EN-T]/28nm@2.00GHz"}"#,
+            r#"{"id":2,"op":"layer","engine":"OPT3[EN-T]","m":16,"n":32,"k":64,"seed":3}"#,
+            r#"{"id":3,"op":"engine","engine":"OPT4E[EN-T]/28nm@2.00GHz"}"#,
+            r#"{"id":4,"op":"engine","engine":"OPT1(TPU)","precision":"W4"}"#,
+            r#"{"id":5,"op":"layer","engine":"OPT4C[EN-T]","m":8,"n":8,"k":32,"memory":"edge"}"#,
+            r#"{"id":6,"op":"model","engine":"OPT1(Ascend)","model":"resnet18","memory":"edge"}"#,
+            r#"{"id":7,"op":"model","engine":"OPT1(Ascend)","model":"resnet18","memory":"edge"}"#,
+            r#"{"id":8,"op":"engine","engine":"no-such-engine"}"#,
+        ] {
+            let (resp, _) = handle_line(line, &cache);
+            assert!(
+                resp.contains("\"ok\":true") != line.contains("no-such"),
+                "{resp}"
+            );
+        }
+        let reply = |line| parse_flat_object(&handle_line(line, &cache).0).unwrap();
+        let stats = reply(r#"{"id":9,"op":"stats"}"#);
+        let metrics = reply(r#"{"id":10,"op":"metrics"}"#);
+        let folded: Vec<&String> = metrics.keys().filter(|k| k.contains("_cache_")).collect();
+        for name in &folded {
+            let field = name.split_once("_cache_").unwrap().1;
+            assert_eq!(metrics[*name], stats[field], "{field}");
+        }
+        assert_ne!(stats["records_evictions"], JsonValue::Num(0.0));
+        let names = |keys: Vec<&String>| keys.into_iter().cloned().collect::<Vec<_>>().join(" ");
+        assert_eq!(
+            names(stats.keys().collect()),
+            "cycle_entries cycle_hits cycle_lookups cycle_misses cycles_entries \
+             cycles_evictions hit_rate id model_entries model_hits model_lookups \
+             model_misses models_entries models_evictions ok op price_hits price_lookups \
+             price_misses priced_entries prices_entries prices_evictions records_entries \
+             records_evictions since_cycle_hits since_cycle_lookups since_cycle_misses \
+             since_hit_rate since_model_hits since_model_lookups since_model_misses \
+             since_price_hits since_price_lookups since_price_misses uptime_ms"
+        );
+        assert_eq!(
+            names(folded),
+            "ctr_cache_cycle_hits ctr_cache_cycle_lookups ctr_cache_cycle_misses \
+             ctr_cache_cycles_evictions ctr_cache_model_hits ctr_cache_model_lookups \
+             ctr_cache_model_misses ctr_cache_models_evictions ctr_cache_price_hits \
+             ctr_cache_price_lookups ctr_cache_price_misses ctr_cache_prices_evictions \
+             ctr_cache_records_evictions gauge_cache_cycle_entries \
+             gauge_cache_cycles_entries gauge_cache_model_entries \
+             gauge_cache_models_entries gauge_cache_priced_entries \
+             gauge_cache_prices_entries gauge_cache_records_entries"
+        );
     }
 
     /// The metrics op folds the serving cache's counters into the registry

@@ -26,11 +26,14 @@
 //! widened to `u64`. Model entries carry variable-length parts — strings
 //! are a `u64` byte length + UTF-8 bytes, layer lists a `u64` count +
 //! rows — everything still strictly length-checked against the payload.
-//! Within each map the encoded entries are sorted by
-//! their byte representation: shard hashing ([`std::hash::DefaultHasher`])
-//! is not stable across processes, so canonical ordering is what makes a
-//! snapshot of the same cache contents **byte-identical** wherever it is
-//! written.
+//! Each map's layout is one `EntryCodec` implementation on its key type;
+//! one generic section writer and reader serve all four maps. Within
+//! each map the encoded entries are sorted by their byte representation:
+//! shard hashing ([`std::hash::DefaultHasher`]) is not stable across
+//! processes, so canonical ordering is what makes a snapshot of the same
+//! cache contents **byte-identical** wherever it is written. [`decode`]
+//! stages every section before [`load`] imports anything, so a rejected
+//! file leaves the cache untouched.
 //!
 //! ## Versioning policy
 //!
@@ -57,6 +60,7 @@ use crate::cache::{
 use crate::caps::CycleModel;
 use crate::report::LayerReport;
 use crate::spec::{Bound, EnginePrice};
+use crate::Fnv1a;
 
 /// Format version; bumped on any layout change (see the module docs for
 /// the no-migration policy). v2 added the whole-model report map (a
@@ -103,9 +107,11 @@ pub struct SnapshotInfo {
 }
 
 // ---------------------------------------------------------------------
-// Enum code tables. Exhaustive in both directions: a new variant fails
-// to compile here, forcing a deliberate LAYOUT_DESCRIPTOR + version
-// decision instead of a silent wire change.
+// Enum code tables. The `*_code` matches are exhaustive: a new variant
+// fails to compile here, forcing a deliberate LAYOUT_DESCRIPTOR + version
+// decision instead of a silent wire change. Decoding searches the type's
+// full variant list for the one with the code, so each table is written
+// once.
 
 fn style_code(s: PeStyle) -> u8 {
     match s {
@@ -118,18 +124,6 @@ fn style_code(s: PeStyle) -> u8 {
     }
 }
 
-fn style_from(code: u8) -> Result<PeStyle, String> {
-    Ok(match code {
-        0 => PeStyle::TraditionalMac,
-        1 => PeStyle::Opt1,
-        2 => PeStyle::Opt2,
-        3 => PeStyle::Opt3,
-        4 => PeStyle::Opt4C,
-        5 => PeStyle::Opt4E,
-        other => return Err(format!("bad PeStyle code {other}")),
-    })
-}
-
 fn arch_code(a: ClassicArch) -> u8 {
     match a {
         ClassicArch::Tpu => 0,
@@ -137,16 +131,6 @@ fn arch_code(a: ClassicArch) -> u8 {
         ClassicArch::Trapezoid => 2,
         ClassicArch::FlexFlow => 3,
     }
-}
-
-fn arch_from(code: u8) -> Result<ClassicArch, String> {
-    Ok(match code {
-        0 => ClassicArch::Tpu,
-        1 => ClassicArch::Ascend,
-        2 => ClassicArch::Trapezoid,
-        3 => ClassicArch::FlexFlow,
-        other => return Err(format!("bad ClassicArch code {other}")),
-    })
 }
 
 fn encoding_code(e: EncodingKind) -> u8 {
@@ -159,30 +143,11 @@ fn encoding_code(e: EncodingKind) -> u8 {
     }
 }
 
-fn encoding_from(code: u8) -> Result<EncodingKind, String> {
-    Ok(match code {
-        0 => EncodingKind::Mbe,
-        1 => EncodingKind::EnT,
-        2 => EncodingKind::Csd,
-        3 => EncodingKind::BitSerialComplement,
-        4 => EncodingKind::BitSerialSignMagnitude,
-        other => return Err(format!("bad EncodingKind code {other}")),
-    })
-}
-
 fn model_code(m: CycleModel) -> u8 {
     match m {
         CycleModel::Sampled => 0,
         CycleModel::Analytic => 1,
     }
-}
-
-fn model_from(code: u8) -> Result<CycleModel, String> {
-    Ok(match code {
-        0 => CycleModel::Sampled,
-        1 => CycleModel::Analytic,
-        other => return Err(format!("bad CycleModel code {other}")),
-    })
 }
 
 fn bound_code(b: Bound) -> u8 {
@@ -193,14 +158,7 @@ fn bound_code(b: Bound) -> u8 {
     }
 }
 
-fn bound_from(code: u8) -> Result<Bound, String> {
-    Ok(match code {
-        0 => Bound::Compute,
-        1 => Bound::Sram,
-        2 => Bound::Dram,
-        other => return Err(format!("bad Bound code {other}")),
-    })
-}
+const BOUNDS: [Bound; 3] = [Bound::Compute, Bound::Sram, Bound::Dram];
 
 // ---------------------------------------------------------------------
 // Little-endian writer/reader over flat byte buffers.
@@ -213,12 +171,18 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
+fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
+    for v in vs {
+        put_u64(out, v.to_bits());
+    }
 }
 
-fn put_opt(out: &mut Vec<u8>, present: bool) {
-    out.push(u8::from(present));
+/// An `Option` as a presence byte, then the value if present.
+fn put_opt<T>(out: &mut Vec<u8>, value: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
+    out.push(u8::from(value.is_some()));
+    if let Some(v) = value {
+        put(out, v);
+    }
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -268,12 +232,26 @@ impl<'a> Reader<'a> {
         usize::try_from(self.u64()?).map_err(|_| "usize overflow in snapshot".to_string())
     }
 
-    fn opt(&mut self) -> Result<bool, String> {
+    /// Reads [`put_opt`]'s presence byte, then the value if present.
+    fn opt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
         match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
+            0 => Ok(None),
+            1 => read(self).map(Some),
             other => Err(format!("bad presence byte {other}")),
         }
+    }
+
+    /// A one-byte enum code: the variant of `all` that `code_of` maps
+    /// to it.
+    fn code<T: Copy>(&mut self, all: &[T], code_of: fn(T) -> u8) -> Result<T, String> {
+        let code = self.u8()?;
+        all.iter()
+            .copied()
+            .find(|&v| code_of(v) == code)
+            .ok_or_else(|| format!("bad {} code {code}", std::any::type_name::<T>()))
     }
 
     fn str(&mut self) -> Result<String, String> {
@@ -283,16 +261,44 @@ impl<'a> Reader<'a> {
             .map(str::to_owned)
             .map_err(|_| "invalid UTF-8 in snapshot string".to_string())
     }
-
-    /// Bytes left before the end of the buffer (reservation guard for
-    /// variable-length sections).
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
 }
 
 // ---------------------------------------------------------------------
 // Per-entry codecs.
+
+/// How one map's `(key, value)` entries are laid out (the
+/// `LAYOUT_DESCRIPTOR` spells each one), implemented once per map's key
+/// type.
+trait EntryCodec: Sized {
+    /// The memoized value type of the key's map.
+    type Value;
+    /// Appends the entry's encoding to `out`.
+    fn encode(&self, value: &Self::Value, out: &mut Vec<u8>);
+    /// Reads one entry back.
+    fn decode(r: &mut Reader) -> Result<(Self, Self::Value), String>;
+}
+
+/// One map's section: its entries encoded and sorted by their bytes (see
+/// the module docs).
+fn write_section<K: EntryCodec>(entries: &[(K, K::Value)]) -> Vec<u8> {
+    let mut encoded: Vec<Vec<u8>> = entries
+        .iter()
+        .map(|(key, value)| {
+            let mut e = Vec::new();
+            key.encode(value, &mut e);
+            e
+        })
+        .collect();
+    encoded.sort_unstable();
+    encoded.concat()
+}
+
+/// Reads one map's section of `count` entries. The vector grows with the
+/// entries actually read, so a corrupt but checksum-colliding count
+/// cannot balloon allocation.
+fn read_section<K: EntryCodec>(r: &mut Reader, count: usize) -> Result<Vec<(K, K::Value)>, String> {
+    (0..count).map(|_| K::decode(r)).collect()
+}
 
 fn put_precision(out: &mut Vec<u8>, p: Precision) {
     put_u32(out, p.a_bits);
@@ -308,349 +314,263 @@ fn read_precision(r: &mut Reader) -> Result<Precision, String> {
     })
 }
 
-fn put_dense(out: &mut Vec<u8>, dense: Option<ClassicArch>) {
-    put_opt(out, dense.is_some());
-    if let Some(a) = dense {
-        out.push(arch_code(a));
-    }
-}
-
-fn read_dense(r: &mut Reader) -> Result<Option<ClassicArch>, String> {
-    if r.opt()? {
-        Ok(Some(arch_from(r.u8()?)?))
-    } else {
-        Ok(None)
-    }
-}
-
-fn encode_record_entry(out: &mut Vec<u8>, key: &PeKey, rec: &Option<PeRecord>) {
+/// The compute half of an engine key (price and model keys lead with it;
+/// the memory corner follows at the end of each).
+fn put_engine(out: &mut Vec<u8>, key: &PriceKey) {
     out.push(style_code(key.style));
-    put_dense(out, key.dense);
-    put_opt(out, key.in_pe_encoding.is_some());
-    if let Some(e) = key.in_pe_encoding {
-        out.push(encoding_code(e));
-    }
-    put_precision(out, key.precision);
-    put_u32(out, key.freq_mhz);
-    put_u32(out, key.node_dnm);
-    put_opt(out, rec.is_some());
-    if let Some(rec) = rec {
-        put_f64(out, rec.area_um2);
-        put_f64(out, rec.active_power_uw);
-        put_f64(out, rec.idle_power_uw);
-        put_u32(out, rec.lanes);
-    }
-}
-
-fn decode_record_entry(r: &mut Reader) -> Result<(PeKey, Option<PeRecord>), String> {
-    let style = style_from(r.u8()?)?;
-    let dense = read_dense(r)?;
-    let in_pe_encoding = if r.opt()? {
-        Some(encoding_from(r.u8()?)?)
-    } else {
-        None
-    };
-    let key = PeKey {
-        style,
-        dense,
-        in_pe_encoding,
-        precision: read_precision(r)?,
-        freq_mhz: r.u32()?,
-        node_dnm: r.u32()?,
-    };
-    let rec = if r.opt()? {
-        Some(PeRecord {
-            area_um2: r.f64()?,
-            active_power_uw: r.f64()?,
-            idle_power_uw: r.f64()?,
-            lanes: r.u32()?,
-        })
-    } else {
-        None
-    };
-    Ok((key, rec))
-}
-
-fn encode_price_entry(out: &mut Vec<u8>, key: &PriceKey, price: &Option<EnginePrice>) {
-    out.push(style_code(key.style));
-    put_dense(out, key.dense);
+    put_opt(out, key.dense, |out, a| out.push(arch_code(a)));
     out.push(encoding_code(key.encoding));
     put_precision(out, key.precision);
     put_u32(out, key.freq_mhz);
     put_u32(out, key.node_dnm);
+}
+
+fn put_memory(out: &mut Vec<u8>, key: &PriceKey) {
     put_u32(out, key.sram_kib);
     put_u32(out, key.sram_bw);
     put_u32(out, key.dram_bw);
-    put_opt(out, price.is_some());
-    if let Some(p) = price {
-        put_f64(out, p.area_um2);
-        put_f64(out, p.e_active_fj);
-        put_f64(out, p.e_idle_fj);
-        put_f64(out, p.instances);
-        put_f64(out, p.lanes_total);
-        put_f64(out, p.peak_tops);
-    }
 }
 
-fn decode_price_entry(r: &mut Reader) -> Result<(PriceKey, Option<EnginePrice>), String> {
-    let key = PriceKey {
-        style: style_from(r.u8()?)?,
-        dense: read_dense(r)?,
-        encoding: encoding_from(r.u8()?)?,
+/// Reads [`put_engine`]'s fields; the memory corner stays unbounded until
+/// [`read_memory`] fills it in.
+fn read_engine(r: &mut Reader) -> Result<PriceKey, String> {
+    Ok(PriceKey {
+        style: r.code(&PeStyle::ALL, style_code)?,
+        dense: r.opt(|r| r.code(&ClassicArch::ALL, arch_code))?,
+        encoding: r.code(&EncodingKind::ALL, encoding_code)?,
         precision: read_precision(r)?,
         freq_mhz: r.u32()?,
         node_dnm: r.u32()?,
-        sram_kib: r.u32()?,
-        sram_bw: r.u32()?,
-        dram_bw: r.u32()?,
-    };
-    let price = if r.opt()? {
-        Some(EnginePrice {
-            area_um2: r.f64()?,
-            e_active_fj: r.f64()?,
-            e_idle_fj: r.f64()?,
-            instances: r.f64()?,
-            lanes_total: r.f64()?,
-            peak_tops: r.f64()?,
-        })
-    } else {
-        None
-    };
-    Ok((key, price))
+        sram_kib: 0,
+        sram_bw: 0,
+        dram_bw: 0,
+    })
 }
 
-fn encode_cycle_entry(out: &mut Vec<u8>, key: &CycleKey, rec: &SerialLayerRecord) {
-    out.push(style_code(key.style));
-    out.push(encoding_code(key.encoding));
-    put_u32(out, key.a_bits);
-    put_u64(out, key.m as u64);
-    put_u64(out, key.n as u64);
-    put_u64(out, key.k as u64);
-    put_u64(out, key.repeats as u64);
-    put_u64(out, key.seed);
-    put_u64(out, key.max_rounds as u64);
-    put_u64(out, key.max_operands as u64);
-    out.push(model_code(key.model));
-    put_f64(out, rec.cycles);
-    put_f64(out, rec.busy_sum);
-    put_f64(out, rec.busy_min);
-    put_f64(out, rec.busy_max);
-    put_f64(out, rec.rounds);
-    put_u32(out, rec.columns);
+fn read_memory(r: &mut Reader, key: &mut PriceKey) -> Result<(), String> {
+    key.sram_kib = r.u32()?;
+    key.sram_bw = r.u32()?;
+    key.dram_bw = r.u32()?;
+    Ok(())
 }
 
-fn decode_cycle_entry(r: &mut Reader) -> Result<(CycleKey, SerialLayerRecord), String> {
-    let key = CycleKey {
-        style: style_from(r.u8()?)?,
-        encoding: encoding_from(r.u8()?)?,
-        a_bits: r.u32()?,
-        m: r.usize()?,
-        n: r.usize()?,
-        k: r.usize()?,
-        repeats: r.usize()?,
-        seed: r.u64()?,
-        max_rounds: r.usize()?,
-        max_operands: r.usize()?,
-        model: model_from(r.u8()?)?,
-    };
-    let rec = SerialLayerRecord {
-        cycles: r.f64()?,
-        busy_sum: r.f64()?,
-        busy_min: r.f64()?,
-        busy_max: r.f64()?,
-        rounds: r.f64()?,
-        columns: r.u32()?,
-    };
-    Ok((key, rec))
-}
-
-fn encode_model_entry(out: &mut Vec<u8>, key: &ModelKey, rec: &ModelRecord) {
-    out.push(style_code(key.style));
-    put_dense(out, key.dense);
-    out.push(encoding_code(key.encoding));
-    put_precision(out, key.precision);
-    put_u32(out, key.freq_mhz);
-    put_u32(out, key.node_dnm);
-    put_str(out, &key.model);
-    put_u64(out, key.layers_hash);
-    put_u64(out, key.seed);
-    put_u64(out, key.max_rounds as u64);
-    put_u64(out, key.max_operands as u64);
-    out.push(model_code(key.cycle_model));
-    put_u32(out, key.sram_kib);
-    put_u32(out, key.sram_bw);
-    put_u32(out, key.dram_bw);
-    put_str(out, &rec.model);
-    put_u64(out, rec.layers.len() as u64);
-    for l in rec.layers.iter() {
-        put_str(out, &l.name);
-        put_u64(out, l.macs);
-        put_f64(out, l.tiles);
-        put_f64(out, l.cycles);
-        put_f64(out, l.delay_us);
-        put_f64(out, l.utilization);
-        put_f64(out, l.energy_uj);
-        put_f64(out, l.bytes_moved);
-        put_f64(out, l.intensity_ops_per_byte);
-        out.push(bound_code(l.bound));
-    }
-    put_u64(out, rec.total_macs);
-    put_f64(out, rec.cycles);
-    put_f64(out, rec.delay_us);
-    put_f64(out, rec.energy_uj);
-    put_f64(out, rec.utilization);
-    put_f64(out, rec.area_um2);
-    put_f64(out, rec.peak_tops);
-    put_f64(out, rec.bytes_moved);
-    put_f64(out, rec.intensity_ops_per_byte);
-    out.push(bound_code(rec.bound));
-    put_f64(out, rec.busy_sum);
-}
-
-fn decode_model_entry(r: &mut Reader) -> Result<(ModelKey, ModelRecord), String> {
-    let key = ModelKey {
-        style: style_from(r.u8()?)?,
-        dense: read_dense(r)?,
-        encoding: encoding_from(r.u8()?)?,
-        precision: read_precision(r)?,
-        freq_mhz: r.u32()?,
-        node_dnm: r.u32()?,
-        model: r.str()?,
-        layers_hash: r.u64()?,
-        seed: r.u64()?,
-        max_rounds: r.usize()?,
-        max_operands: r.usize()?,
-        cycle_model: model_from(r.u8()?)?,
-        sram_kib: r.u32()?,
-        sram_bw: r.u32()?,
-        dram_bw: r.u32()?,
-    };
-    let model: std::sync::Arc<str> = r.str()?.into();
-    let n_layers = r.usize()?;
-    // A layer row is ≥ 64 encoded bytes; cap the reservation to what the
-    // remaining payload could actually hold (the count itself is
-    // checksum-protected, but a colliding corruption must not balloon
-    // allocation — truncation then rejects inside the loop).
-    let mut layers = Vec::with_capacity(n_layers.min(r.remaining() / 64));
-    for _ in 0..n_layers {
-        layers.push(LayerReport {
-            name: r.str()?.into(),
-            macs: r.u64()?,
-            tiles: r.f64()?,
-            cycles: r.f64()?,
-            delay_us: r.f64()?,
-            utilization: r.f64()?,
-            energy_uj: r.f64()?,
-            bytes_moved: r.f64()?,
-            intensity_ops_per_byte: r.f64()?,
-            bound: bound_from(r.u8()?)?,
+impl EntryCodec for PeKey {
+    type Value = Option<PeRecord>;
+    fn encode(&self, rec: &Option<PeRecord>, out: &mut Vec<u8>) {
+        out.push(style_code(self.style));
+        put_opt(out, self.dense, |out, a| out.push(arch_code(a)));
+        put_opt(out, self.in_pe_encoding, |out, e| {
+            out.push(encoding_code(e))
+        });
+        put_precision(out, self.precision);
+        put_u32(out, self.freq_mhz);
+        put_u32(out, self.node_dnm);
+        put_opt(out, rec.as_ref(), |out, rec| {
+            put_f64s(out, &[rec.area_um2, rec.active_power_uw, rec.idle_power_uw]);
+            put_u32(out, rec.lanes);
         });
     }
-    let rec = ModelRecord {
-        model,
-        layers: layers.into(),
-        total_macs: r.u64()?,
-        cycles: r.f64()?,
-        delay_us: r.f64()?,
-        energy_uj: r.f64()?,
-        utilization: r.f64()?,
-        area_um2: r.f64()?,
-        peak_tops: r.f64()?,
-        bytes_moved: r.f64()?,
-        intensity_ops_per_byte: r.f64()?,
-        bound: bound_from(r.u8()?)?,
-        busy_sum: r.f64()?,
-    };
-    Ok((key, rec))
-}
 
-/// fnv1a over raw bytes (same constants as [`crate::fnv1a`], which is
-/// defined over `&str`).
-fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    fn decode(r: &mut Reader) -> Result<(Self, Option<PeRecord>), String> {
+        let key = PeKey {
+            style: r.code(&PeStyle::ALL, style_code)?,
+            dense: r.opt(|r| r.code(&ClassicArch::ALL, arch_code))?,
+            in_pe_encoding: r.opt(|r| r.code(&EncodingKind::ALL, encoding_code))?,
+            precision: read_precision(r)?,
+            freq_mhz: r.u32()?,
+            node_dnm: r.u32()?,
+        };
+        let rec = r.opt(|r| {
+            Ok(PeRecord {
+                area_um2: r.f64()?,
+                active_power_uw: r.f64()?,
+                idle_power_uw: r.f64()?,
+                lanes: r.u32()?,
+            })
+        })?;
+        Ok((key, rec))
     }
-    h
 }
 
-/// Encodes exported cache contents into the versioned snapshot format.
-/// Entries are sorted by encoded bytes per map, so the same contents
-/// produce the same bytes in any process (shard/HashMap order is not
-/// stable).
-pub fn encode(contents: &CacheContents) -> Vec<u8> {
-    let sorted_map = |mut entries: Vec<Vec<u8>>| -> Vec<u8> {
-        entries.sort_unstable();
-        entries.concat()
-    };
-    let records = sorted_map(
-        contents
-            .records
-            .iter()
-            .map(|(k, v)| {
-                let mut e = Vec::with_capacity(64);
-                encode_record_entry(&mut e, k, v);
-                e
-            })
-            .collect(),
-    );
-    let prices = sorted_map(
-        contents
-            .prices
-            .iter()
-            .map(|(k, v)| {
-                let mut e = Vec::with_capacity(80);
-                encode_price_entry(&mut e, k, v);
-                e
-            })
-            .collect(),
-    );
-    let cycles = sorted_map(
-        contents
-            .cycles
-            .iter()
-            .map(|(k, v)| {
-                let mut e = Vec::with_capacity(120);
-                encode_cycle_entry(&mut e, k, v);
-                e
-            })
-            .collect(),
-    );
-    let models = sorted_map(
-        contents
-            .models
-            .iter()
-            .map(|(k, v)| {
-                let mut e = Vec::with_capacity(256 + 64 * v.layers.len());
-                encode_model_entry(&mut e, k, v);
-                e
-            })
-            .collect(),
-    );
+impl EntryCodec for PriceKey {
+    type Value = Option<EnginePrice>;
+    fn encode(&self, price: &Option<EnginePrice>, out: &mut Vec<u8>) {
+        put_engine(out, self);
+        put_memory(out, self);
+        put_opt(out, price.as_ref(), |out, p| {
+            put_f64s(out, &[p.area_um2, p.e_active_fj, p.e_idle_fj]);
+            put_f64s(out, &[p.instances, p.lanes_total, p.peak_tops]);
+        });
+    }
 
-    let mut out =
-        Vec::with_capacity(56 + records.len() + prices.len() + cycles.len() + models.len() + 8);
+    fn decode(r: &mut Reader) -> Result<(Self, Option<EnginePrice>), String> {
+        let mut key = read_engine(r)?;
+        read_memory(r, &mut key)?;
+        let price = r.opt(|r| {
+            Ok(EnginePrice {
+                area_um2: r.f64()?,
+                e_active_fj: r.f64()?,
+                e_idle_fj: r.f64()?,
+                instances: r.f64()?,
+                lanes_total: r.f64()?,
+                peak_tops: r.f64()?,
+            })
+        })?;
+        Ok((key, price))
+    }
+}
+
+impl EntryCodec for CycleKey {
+    type Value = SerialLayerRecord;
+    fn encode(&self, rec: &SerialLayerRecord, out: &mut Vec<u8>) {
+        out.push(style_code(self.style));
+        out.push(encoding_code(self.encoding));
+        put_u32(out, self.a_bits);
+        put_u64(out, self.m as u64);
+        put_u64(out, self.n as u64);
+        put_u64(out, self.k as u64);
+        put_u64(out, self.repeats as u64);
+        put_u64(out, self.seed);
+        put_u64(out, self.max_rounds as u64);
+        put_u64(out, self.max_operands as u64);
+        out.push(model_code(self.model));
+        put_f64s(out, &[rec.cycles, rec.busy_sum, rec.busy_min]);
+        put_f64s(out, &[rec.busy_max, rec.rounds]);
+        put_u32(out, rec.columns);
+    }
+
+    fn decode(r: &mut Reader) -> Result<(Self, SerialLayerRecord), String> {
+        let key = CycleKey {
+            style: r.code(&PeStyle::ALL, style_code)?,
+            encoding: r.code(&EncodingKind::ALL, encoding_code)?,
+            a_bits: r.u32()?,
+            m: r.usize()?,
+            n: r.usize()?,
+            k: r.usize()?,
+            repeats: r.usize()?,
+            seed: r.u64()?,
+            max_rounds: r.usize()?,
+            max_operands: r.usize()?,
+            model: r.code(&CycleModel::ALL, model_code)?,
+        };
+        let rec = SerialLayerRecord {
+            cycles: r.f64()?,
+            busy_sum: r.f64()?,
+            busy_min: r.f64()?,
+            busy_max: r.f64()?,
+            rounds: r.f64()?,
+            columns: r.u32()?,
+        };
+        Ok((key, rec))
+    }
+}
+
+impl EntryCodec for ModelKey {
+    type Value = ModelRecord;
+    fn encode(&self, rec: &ModelRecord, out: &mut Vec<u8>) {
+        put_engine(out, &self.engine);
+        put_str(out, &self.model);
+        put_u64(out, self.layers_hash);
+        put_u64(out, self.seed);
+        put_u64(out, self.max_rounds as u64);
+        put_u64(out, self.max_operands as u64);
+        out.push(model_code(self.cycle_model));
+        put_memory(out, &self.engine);
+        put_str(out, &rec.model);
+        put_u64(out, rec.layers.len() as u64);
+        for l in rec.layers.iter() {
+            put_str(out, &l.name);
+            put_u64(out, l.macs);
+            put_f64s(out, &[l.tiles, l.cycles, l.delay_us, l.utilization]);
+            put_f64s(out, &[l.energy_uj, l.bytes_moved, l.intensity_ops_per_byte]);
+            out.push(bound_code(l.bound));
+        }
+        put_u64(out, rec.total_macs);
+        put_f64s(out, &[rec.cycles, rec.delay_us, rec.energy_uj]);
+        put_f64s(out, &[rec.utilization, rec.area_um2, rec.peak_tops]);
+        put_f64s(out, &[rec.bytes_moved, rec.intensity_ops_per_byte]);
+        out.push(bound_code(rec.bound));
+        put_f64s(out, &[rec.busy_sum]);
+    }
+
+    fn decode(r: &mut Reader) -> Result<(Self, ModelRecord), String> {
+        let mut key = ModelKey {
+            engine: read_engine(r)?,
+            model: r.str()?,
+            layers_hash: r.u64()?,
+            seed: r.u64()?,
+            max_rounds: r.usize()?,
+            max_operands: r.usize()?,
+            cycle_model: r.code(&CycleModel::ALL, model_code)?,
+        };
+        read_memory(r, &mut key.engine)?;
+        let model: Arc<str> = r.str()?.into();
+        let layers: Vec<LayerReport> = (0..r.usize()?)
+            .map(|_| {
+                Ok(LayerReport {
+                    name: r.str()?.into(),
+                    macs: r.u64()?,
+                    tiles: r.f64()?,
+                    cycles: r.f64()?,
+                    delay_us: r.f64()?,
+                    utilization: r.f64()?,
+                    energy_uj: r.f64()?,
+                    bytes_moved: r.f64()?,
+                    intensity_ops_per_byte: r.f64()?,
+                    bound: r.code(&BOUNDS, bound_code)?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        let rec = ModelRecord {
+            model,
+            layers: layers.into(),
+            total_macs: r.u64()?,
+            cycles: r.f64()?,
+            delay_us: r.f64()?,
+            energy_uj: r.f64()?,
+            utilization: r.f64()?,
+            area_um2: r.f64()?,
+            peak_tops: r.f64()?,
+            bytes_moved: r.f64()?,
+            intensity_ops_per_byte: r.f64()?,
+            bound: r.code(&BOUNDS, bound_code)?,
+            busy_sum: r.f64()?,
+        };
+        Ok((key, rec))
+    }
+}
+
+/// Encodes exported cache contents into the versioned snapshot format,
+/// one section per map, its entries sorted by their encoded bytes.
+pub fn encode(contents: &CacheContents) -> Vec<u8> {
+    let sections = [
+        (contents.records.len(), write_section(&contents.records)),
+        (contents.prices.len(), write_section(&contents.prices)),
+        (contents.cycles.len(), write_section(&contents.cycles)),
+        (contents.models.len(), write_section(&contents.models)),
+    ];
+    let body: usize = sections.iter().map(|(_, bytes)| bytes.len()).sum();
+    let mut out = Vec::with_capacity(56 + body + 8);
     out.extend_from_slice(SNAPSHOT_MAGIC);
     put_u32(&mut out, SNAPSHOT_VERSION);
-    put_u64(&mut out, fnv1a_bytes(LAYOUT_DESCRIPTOR.as_bytes()));
-    put_u64(&mut out, contents.records.len() as u64);
-    put_u64(&mut out, contents.prices.len() as u64);
-    put_u64(&mut out, contents.cycles.len() as u64);
-    put_u64(&mut out, contents.models.len() as u64);
-    out.extend_from_slice(&records);
-    out.extend_from_slice(&prices);
-    out.extend_from_slice(&cycles);
-    out.extend_from_slice(&models);
-    let checksum = fnv1a_bytes(&out[SNAPSHOT_MAGIC.len()..]);
+    put_u64(&mut out, Fnv1a::hash(LAYOUT_DESCRIPTOR.as_bytes()));
+    for (count, _) in &sections {
+        put_u64(&mut out, *count as u64);
+    }
+    for (_, bytes) in &sections {
+        out.extend_from_slice(bytes);
+    }
+    let checksum = Fnv1a::hash(&out[SNAPSHOT_MAGIC.len()..]);
     put_u64(&mut out, checksum);
     out
 }
 
 /// Decodes a snapshot, strict-rejecting anything that is not byte-exact:
 /// wrong magic, version or layout hash, bad checksum, truncation, unknown
-/// enum codes, or trailing garbage. A rejected snapshot costs a cold
-/// sweep; a tolerated one could poison every derived result.
+/// enum codes, or trailing garbage. Every section is staged into the
+/// returned [`CacheContents`] before anything is imported, so a rejected
+/// snapshot costs a cold sweep; a tolerated one could poison every
+/// derived result.
 pub fn decode(bytes: &[u8]) -> Result<CacheContents, String> {
     let mut r = Reader::new(bytes);
     if r.take(SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC {
@@ -661,7 +581,7 @@ pub fn decode(bytes: &[u8]) -> Result<CacheContents, String> {
     }
     let payload_end = bytes.len() - 8;
     let stored = u64::from_le_bytes(bytes[payload_end..].try_into().unwrap());
-    let actual = fnv1a_bytes(&bytes[SNAPSHOT_MAGIC.len()..payload_end]);
+    let actual = Fnv1a::hash(&bytes[SNAPSHOT_MAGIC.len()..payload_end]);
     if stored != actual {
         return Err(format!(
             "snapshot checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
@@ -675,38 +595,21 @@ pub fn decode(bytes: &[u8]) -> Result<CacheContents, String> {
         ));
     }
     let layout = r.u64()?;
-    let expected = fnv1a_bytes(LAYOUT_DESCRIPTOR.as_bytes());
+    let expected = Fnv1a::hash(LAYOUT_DESCRIPTOR.as_bytes());
     if layout != expected {
         return Err(format!(
             "snapshot layout hash {layout:#018x} != expected {expected:#018x} \
              (written by an incompatible build)"
         ));
     }
-    let n_records = r.usize()?;
-    let n_prices = r.usize()?;
-    let n_cycles = r.usize()?;
-    let n_models = r.usize()?;
-    let mut contents = CacheContents::default();
-    // Counts are checksum-protected, but cap reservations to what the
-    // payload could possibly hold so a corrupt-but-colliding count can't
-    // balloon allocation.
-    let cap = payload_end.saturating_sub(r.pos);
-    contents.records.reserve(n_records.min(cap / 30));
-    contents.prices.reserve(n_prices.min(cap / 30));
-    contents.cycles.reserve(n_cycles.min(cap / 30));
-    contents.models.reserve(n_models.min(cap / 64));
-    for _ in 0..n_records {
-        contents.records.push(decode_record_entry(&mut r)?);
-    }
-    for _ in 0..n_prices {
-        contents.prices.push(decode_price_entry(&mut r)?);
-    }
-    for _ in 0..n_cycles {
-        contents.cycles.push(decode_cycle_entry(&mut r)?);
-    }
-    for _ in 0..n_models {
-        contents.models.push(decode_model_entry(&mut r)?);
-    }
+    let [n_records, n_prices, n_cycles, n_models] =
+        [r.usize()?, r.usize()?, r.usize()?, r.usize()?];
+    let contents = CacheContents {
+        records: read_section(&mut r, n_records)?,
+        prices: read_section(&mut r, n_prices)?,
+        cycles: read_section(&mut r, n_cycles)?,
+        models: read_section(&mut r, n_models)?,
+    };
     if r.pos != payload_end {
         return Err(format!(
             "snapshot has {} trailing bytes after the last entry",
@@ -832,6 +735,46 @@ mod tests {
         encode(&cache.export())
     }
 
+    /// The v3 bytes are pinned: a fixed cache warmed through the
+    /// evaluator — all four maps, a cached infeasibility, a finite memory
+    /// corner, analytic records and a layer precision override — encodes
+    /// to one recorded length and hash. A codec refactor that moves a
+    /// single byte fails here.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let cache = warmed();
+        let edge = crate::spec::MemorySpec::edge();
+        let analytic = Evaluator::new(&cache).with_cycle_model(CycleModel::Analytic);
+        let serial = EngineSpec::serial(PeStyle::Opt4C, EncodingKind::Mbe, 2.0)
+            .with_precision(Precision::W4)
+            .with_memory(edge);
+        let layer = SweepWorkload::Layer(LayerShape::new("pin", 16, 48, 96, 2));
+        analytic.metrics(&serial, &layer, 3).expect("feasible");
+        analytic
+            .model_report(&serial, &models::resnet18_quantized(), 3)
+            .expect("feasible");
+        let dense = EngineSpec::dense(PeStyle::Opt2, ClassicArch::Ascend, 1.0).with_memory(edge);
+        let net = SweepWorkload::Model(models::mobilenet_v2());
+        Evaluator::new(&cache)
+            .metrics(&dense, &net, 5)
+            .expect("feasible");
+
+        let contents = cache.export();
+        assert!(contents.prices.iter().any(|(_, p)| p.is_none()));
+        assert!(contents.prices.iter().any(|(k, _)| k.sram_kib != 0));
+        assert!(contents
+            .cycles
+            .iter()
+            .any(|(k, _)| k.model == CycleModel::Analytic));
+        assert_eq!(contents.models.len(), 3);
+        let bytes = encode(&contents);
+        assert_eq!(
+            (bytes.len(), Fnv1a::hash(&bytes)),
+            (11_960, 0x9ea0_e694_0edf_a84c),
+            "the v3 snapshot bytes moved"
+        );
+    }
+
     #[test]
     fn snapshot_round_trips_including_infeasible_entries() {
         let cache = warmed();
@@ -879,13 +822,13 @@ mod tests {
         let mut future = bytes.clone();
         future[8..12].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
         let end = future.len() - 8;
-        let sum = fnv1a_bytes(&future[SNAPSHOT_MAGIC.len()..end]);
+        let sum = Fnv1a::hash(&future[SNAPSHOT_MAGIC.len()..end]);
         future[end..].copy_from_slice(&sum.to_le_bytes());
         assert!(decode(&future).unwrap_err().contains("version"));
         // Layout-hash drift, same re-stamping.
         let mut drifted = bytes.clone();
         drifted[12] ^= 0x01;
-        let sum = fnv1a_bytes(&drifted[SNAPSHOT_MAGIC.len()..end]);
+        let sum = Fnv1a::hash(&drifted[SNAPSHOT_MAGIC.len()..end]);
         drifted[end..].copy_from_slice(&sum.to_le_bytes());
         assert!(decode(&drifted).unwrap_err().contains("layout"));
         // Wrong magic.
@@ -1008,7 +951,7 @@ mod tests {
         let mut short: Vec<u8> = bytes[..end - 16].to_vec();
         short.extend_from_slice(&[0u8; 8]); // placeholder trailer
         let sum_end = short.len() - 8;
-        let sum = fnv1a_bytes(&short[SNAPSHOT_MAGIC.len()..sum_end]);
+        let sum = Fnv1a::hash(&short[SNAPSHOT_MAGIC.len()..sum_end]);
         short[sum_end..].copy_from_slice(&sum.to_le_bytes());
         assert!(decode(&short).is_err(), "truncated model entry must reject");
 
@@ -1019,7 +962,7 @@ mod tests {
         for old in [1u32, 2] {
             let mut stale = bytes.clone();
             stale[8..12].copy_from_slice(&old.to_le_bytes());
-            let sum = fnv1a_bytes(&stale[SNAPSHOT_MAGIC.len()..end]);
+            let sum = Fnv1a::hash(&stale[SNAPSHOT_MAGIC.len()..end]);
             stale[end..].copy_from_slice(&sum.to_le_bytes());
             assert!(
                 decode(&stale).unwrap_err().contains("version"),

@@ -9,7 +9,9 @@
 //! `eval_serial_analytic_ns` histogram that joins the sampled path's
 //! `eval_serial_sample_ns` span.
 
-use tpe_engine::serve::{handle_request, handle_request_classified, NoOps};
+use tpe_engine::serve::{
+    handle_request, handle_request_classified, parse_flat_object, JsonValue, NoOps,
+};
 use tpe_engine::{roster, CycleModel, EngineCache, Evaluator, SweepWorkload};
 use tpe_obs::Registry;
 use tpe_workloads::LayerShape;
@@ -20,18 +22,12 @@ fn serial_probe() -> (tpe_engine::EngineSpec, SweepWorkload) {
     (engine, workload)
 }
 
-/// Pulls a `"key":N` integer field out of a JSON reply line.
+/// The numeric field `key` of a one-line JSON reply, as a u64.
 fn field_u64(reply: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\":");
-    let at = reply
-        .find(&needle)
-        .unwrap_or_else(|| panic!("{key} in {reply}"));
-    reply[at + needle.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("numeric field")
+    match parse_flat_object(reply).expect("reply parses").get(key) {
+        Some(JsonValue::Num(v)) => *v as u64,
+        other => panic!("{key} = {other:?} in {reply}"),
+    }
 }
 
 /// The same (engine, layer, seed) evaluated under both modes occupies two

@@ -10,7 +10,9 @@ use std::net::TcpListener;
 use std::thread::JoinHandle;
 
 use proptest::prelude::*;
-use tpe_engine::serve::{query_batch, serve, NoOps, ServeConfig, ServeObs, ServeOutcome};
+use tpe_engine::serve::{
+    parse_flat_object, query_batch, serve, JsonValue, NoOps, ServeConfig, ServeObs, ServeOutcome,
+};
 use tpe_engine::EngineCache;
 use tpe_obs::Registry;
 
@@ -181,19 +183,12 @@ fn concurrent_clients_match_their_sequential_baselines_and_stats_stay_consistent
     assert_eq!(stats.cycle_lookups, stats.cycle_hits + stats.cycle_misses);
 }
 
-/// Pulls `"key":value` out of a one-line JSON reply as a u64.
+/// The numeric field `key` of a one-line JSON reply, as a u64.
 fn field_u64(reply: &str, key: &str) -> u64 {
-    let tag = format!("\"{key}\":");
-    let start = reply
-        .find(&tag)
-        .unwrap_or_else(|| panic!("{key} in {reply}"))
-        + tag.len();
-    reply[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("{key} numeric in {reply}"))
+    match parse_flat_object(reply).expect("reply parses").get(key) {
+        Some(JsonValue::Num(v)) => *v as u64,
+        other => panic!("{key} = {other:?} in {reply}"),
+    }
 }
 
 /// Satellite: the observability layer's own accounting under a mixed
