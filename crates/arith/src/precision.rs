@@ -116,13 +116,7 @@ impl Precision {
     /// fully-spelled `W{a}xW{b}a{acc}` otherwise. [`Precision::parse`]
     /// round-trips every label this emits.
     pub fn label(self) -> String {
-        if self == Precision::W8X4 {
-            return "W8xW4".into();
-        }
-        if self.a_bits == self.b_bits && self.acc_bits == 4 * self.a_bits {
-            return format!("W{}", self.a_bits);
-        }
-        format!("W{}xW{}a{}", self.a_bits, self.b_bits, self.acc_bits)
+        self.to_string()
     }
 
     /// Parses a precision label, case-insensitively: `w4`-style symmetric
@@ -162,9 +156,16 @@ impl Default for Precision {
     }
 }
 
+/// Writes [`Precision::label`] without building a string first.
 impl fmt::Display for Precision {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
+        if *self == Precision::W8X4 {
+            f.write_str("W8xW4")
+        } else if self.a_bits == self.b_bits && self.acc_bits == 4 * self.a_bits {
+            write!(f, "W{}", self.a_bits)
+        } else {
+            write!(f, "W{}xW{}a{}", self.a_bits, self.b_bits, self.acc_bits)
+        }
     }
 }
 

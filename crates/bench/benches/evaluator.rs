@@ -137,7 +137,7 @@ fn scenarios() -> Vec<Scenario> {
                 let r = Evaluator::new(&cache)
                     .model_report(&serial_spec(), net, 42)
                     .unwrap();
-                black_box(r.delay_us)
+                black_box(r.totals.delay_us)
             }),
         ),
         (
@@ -149,7 +149,7 @@ fn scenarios() -> Vec<Scenario> {
                 let r = Evaluator::new(warm)
                     .model_report(&serial_spec(), net, 42)
                     .unwrap();
-                black_box(r.delay_us)
+                black_box(r.totals.delay_us)
             }),
         ),
         (
@@ -189,7 +189,7 @@ fn scenarios() -> Vec<Scenario> {
                 let cache = EngineCache::new();
                 let spec = serial_spec().with_memory(tpe_engine::MemorySpec::edge());
                 let r = Evaluator::new(&cache).model_report(&spec, net, 42).unwrap();
-                black_box(r.delay_us)
+                black_box(r.totals.delay_us)
             }),
         ),
     ]

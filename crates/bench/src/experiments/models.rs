@@ -228,7 +228,7 @@ fn try_models(args: &[String]) -> Result<String, String> {
         .unwrap();
         let mut best: Option<(&ModelRun, f64)> = None;
         for run in runs {
-            match &run.report {
+            match run.report.as_ref().map(|r| &r.totals) {
                 Some(r) => {
                     writeln!(
                         out,

@@ -12,7 +12,7 @@ use crate::grid::ModelRun;
 use crate::pareto::Objective;
 use crate::space::{classic_name, SweepWorkload};
 use tpe_engine::serve::json_escape;
-use tpe_engine::EngineSpec;
+use tpe_engine::{EngineSpec, ModelReport};
 
 /// CSV header matching the per-point row layout. `workload_kind` is
 /// `layer` or `model`; the `m,n,k,repeats` shape columns are empty for
@@ -216,10 +216,12 @@ pub fn model_csv(runs: &[ModelRun]) -> String {
         let precision = e.precision.label();
         let memory = e.memory.name;
         match &run.report {
-            Some(r) => out.push_str(&format!(
+            Some(ModelReport {
+                layers, totals: r, ..
+            }) => out.push_str(&format!(
                 ",{},{},{:.0},{:.4},{:.6},{:.3},{:.4},{:.5},{:.5},{:.4},{:.3},{precision},\
                  {memory},{:.0},{:.4},{}\n",
-                r.layer_count(),
+                layers.len(),
                 r.total_macs,
                 r.cycles,
                 r.delay_us,
@@ -262,14 +264,17 @@ pub fn model_json(runs: &[ModelRun]) -> String {
             e.memory.name,
             run.feasible(),
         ));
-        if let Some(r) = &run.report {
+        if let Some(ModelReport {
+            layers, totals: r, ..
+        }) = &run.report
+        {
             out.push_str(&format!(
                 ", \"layers\": {}, \"macs\": {}, \"cycles\": {:.0}, \
                  \"delay_us\": {:.4}, \"energy_uj\": {:.6}, \"gops\": {:.3}, \
                  \"peak_tops\": {:.4}, \"utilization\": {:.5}, \"power_w\": {:.5}, \
                  \"tops_per_w\": {:.4}, \"area_um2\": {:.3}, \"bytes_moved\": {:.0}, \
                  \"intensity_ops_per_byte\": {:.4}, \"bound\": \"{}\", \"per_layer\": [",
-                r.layer_count(),
+                layers.len(),
                 r.total_macs,
                 r.cycles,
                 r.delay_us,
@@ -284,7 +289,7 @@ pub fn model_json(runs: &[ModelRun]) -> String {
                 r.intensity_ops_per_byte,
                 r.bound.label(),
             ));
-            for (j, l) in r.layers.iter().enumerate() {
+            for (j, l) in layers.iter().enumerate() {
                 out.push_str(&format!(
                     "{}{{\"name\": \"{}\", \"macs\": {}, \"cycles\": {:.0}, \
                      \"delay_us\": {:.4}, \"utilization\": {:.5}, \"energy_uj\": {:.6}, \

@@ -33,9 +33,9 @@
 //!     .runs
 //!     .iter()
 //!     .filter_map(|r| r.report.as_ref())
-//!     .min_by(|a, b| a.delay_us.total_cmp(&b.delay_us))
+//!     .min_by(|a, b| a.totals.delay_us.total_cmp(&b.totals.delay_us))
 //!     .unwrap();
-//! assert!(best.delay_us > 0.0);
+//! assert!(best.totals.delay_us > 0.0);
 //! ```
 
 use std::time::{Duration, Instant};
@@ -147,7 +147,7 @@ mod tests {
             assert_eq!(run.engine.label(), es[i % es.len()].label());
             let r = run.report.as_ref().expect("paper clocks are feasible");
             assert_eq!(r.layer_count(), ms[i / es.len()].layers.len());
-            assert!(r.delay_us > 0.0 && r.energy_uj > 0.0);
+            assert!(r.totals.delay_us > 0.0 && r.totals.energy_uj > 0.0);
         }
     }
 
@@ -198,7 +198,7 @@ mod tests {
             .runs
             .iter()
             .filter_map(|r| r.report.as_ref())
-            .all(|r| r.bound == Bound::Compute));
+            .all(|r| r.totals.bound == Bound::Compute));
 
         let mut flipped = 0usize;
         for (f, e) in free.runs.iter().zip(&edge.runs) {
@@ -206,6 +206,7 @@ mod tests {
             let (Some(fr), Some(er)) = (&f.report, &e.report) else {
                 continue;
             };
+            let (fr, er) = (&fr.totals, &er.totals);
             assert_eq!(fr.bytes_moved, er.bytes_moved, "traffic is corner-free");
             if er.bound != Bound::Compute {
                 flipped += 1;
@@ -223,8 +224,8 @@ mod tests {
 
     /// Repeated identical grids are served from the global cache: the
     /// second run is byte-identical and every feasible cell answers from
-    /// the whole-model map — one record hit per cell, no per-layer
-    /// rewalk. (Sibling tests share the process-global counters and may
+    /// the whole-model reports map — one report hit per cell, no
+    /// per-layer rewalk. (Sibling tests share the process-global counters and may
     /// add their own misses concurrently, so no zero-miss assertion —
     /// the isolated-cache equivalent is pinned in `tpe-engine`'s suite.)
     #[test]
@@ -237,8 +238,8 @@ mod tests {
         assert_eq!(first.runs, second.runs);
         assert!(delta.hits() > 0, "warm rerun must hit: {delta:?}");
         assert!(
-            delta.model_hits >= second.feasible_count() as u64,
-            "each feasible cell must be a model-map hit: {delta:?}"
+            delta.report_hits >= second.feasible_count() as u64,
+            "each feasible cell must be a reports-map hit: {delta:?}"
         );
     }
 }

@@ -549,6 +549,47 @@ mod tests {
         assert!(DesignSpace::with_models("no-such-net").is_err());
     }
 
+    /// Every point of a whole-network sweep shares its network's layer
+    /// slice, and so does its evaluated result: enumeration and
+    /// evaluation bump a reference count instead of copying layers. A
+    /// catalog sweep reads model records only, so the reports map (the
+    /// one that keeps per-layer rows) stays empty.
+    #[test]
+    fn model_points_share_their_network_layers() {
+        let space = DesignSpace {
+            memories: roster::memory_corners(),
+            ..DesignSpace::with_models("").unwrap()
+        };
+        let layers_of = |w: &SweepWorkload| match w {
+            SweepWorkload::Model(net) => net.layers.clone(),
+            SweepWorkload::Layer(_) => unreachable!("a model-only space"),
+        };
+        let shared = |p: &DesignPoint| {
+            let net = space
+                .workloads
+                .iter()
+                .find(|w| w.name() == p.workload.name());
+            std::sync::Arc::ptr_eq(&layers_of(&p.workload), &layers_of(net.unwrap()))
+        };
+        let points = space.enumerate_filtered("OPT4E[EN-T]/28nm@2.00");
+        assert_eq!(
+            points.len(),
+            space.workloads.len() * 3 * 4,
+            "nets × W4/W8/W16 × corners"
+        );
+        assert!(points.iter().all(shared));
+        let cache = tpe_engine::EngineCache::new();
+        let config = crate::sweep::SweepConfig {
+            threads: 2,
+            seed: 1,
+            cycle_model: tpe_engine::CycleModel::Analytic,
+        };
+        let outcome = crate::sweep::sweep_with_cache(&points, config, &cache);
+        assert!(outcome.results.iter().all(|r| shared(&r.point)));
+        assert_eq!(cache.models_len(), points.len());
+        assert_eq!(cache.reports_len(), 0);
+    }
+
     #[test]
     fn filter_narrows_enumeration() {
         let space = DesignSpace::quick();

@@ -437,14 +437,14 @@ proptest! {
             let energy: f64 = report.layers.iter().map(|l| l.energy_uj).sum();
             let macs: u64 = report.layers.iter().map(|l| l.macs).sum();
             let bytes: f64 = report.layers.iter().map(|l| l.bytes_moved).sum();
-            prop_assert_eq!(report.cycles.to_bits(), cycles.to_bits());
-            prop_assert_eq!(report.delay_us.to_bits(), delay.to_bits());
-            prop_assert_eq!(report.energy_uj.to_bits(), energy.to_bits());
-            prop_assert_eq!(report.bytes_moved.to_bits(), bytes.to_bits());
-            prop_assert_eq!(report.total_macs, macs);
-            prop_assert_eq!(report.total_macs, net.total_macs());
+            prop_assert_eq!(report.totals.cycles.to_bits(), cycles.to_bits());
+            prop_assert_eq!(report.totals.delay_us.to_bits(), delay.to_bits());
+            prop_assert_eq!(report.totals.energy_uj.to_bits(), energy.to_bits());
+            prop_assert_eq!(report.totals.bytes_moved.to_bits(), bytes.to_bits());
+            prop_assert_eq!(report.totals.total_macs, macs);
+            prop_assert_eq!(report.totals.total_macs, net.total_macs());
             prop_assert_eq!(
-                report.intensity_ops_per_byte.to_bits(),
+                report.totals.intensity_ops_per_byte.to_bits(),
                 (2.0 * macs as f64 / bytes).to_bits()
             );
 
@@ -453,8 +453,8 @@ proptest! {
                 .iter()
                 .map(|l| l.utilization * l.delay_us)
                 .sum();
-            prop_assert!((report.utilization - weighted / delay).abs() < 1e-12);
-            prop_assert!((0.0..=1.0).contains(&report.utilization));
+            prop_assert!((report.totals.utilization - weighted / delay).abs() < 1e-12);
+            prop_assert!((0.0..=1.0).contains(&report.totals.utilization));
         }
     }
 }

@@ -12,18 +12,23 @@
 //! 3. **serial workload cycles** (the sampled sync model), keyed on the
 //!    cycle-relevant subset plus the exact seed and sampling caps
 //!    ([`CycleKey`]);
-//! 4. **whole-model reports** (the aggregated per-layer walk), keyed on
-//!    the engine's price/cycle-relevant subset plus the model's identity
-//!    and content hash, the cell seed and the sampling caps
-//!    ([`ModelKey`]) — so a repeated `model` serve op, grid cell or dse
-//!    model point collapses to one lookup instead of an O(layers)
-//!    rewalk.
+//! 4. **whole-model records** (the end-to-end aggregates of the
+//!    per-layer walk, without its rows), keyed on the engine's
+//!    price/cycle-relevant subset plus the model's identity and content
+//!    hash, the cell seed and the sampling caps ([`ModelKey`]) — so a
+//!    repeated `model` serve op or dse model point collapses to one
+//!    lookup instead of an O(layers) rewalk;
+//! 5. **whole-model reports** (the records plus their per-layer rows),
+//!    under the same [`ModelKey`], filled only by
+//!    [`Evaluator::model_report`](crate::Evaluator::model_report): a sweep
+//!    over whole networks never holds a row, and a repeated report is
+//!    still one lookup.
 //!
 //! All maps are sharded: each shard is an independent
 //! [`RwLock`]`<HashMap>` selected by key hash, so concurrent sweep workers
 //! and serve connections contend only when they touch the same shard, and
 //! reads (the overwhelming majority once warm) take a shared lock. The
-//! four maps share one sharded memo type, which can also bound each shard
+//! five maps share one sharded memo type, which can also bound each shard
 //! ([`EngineCache::bounded`]) and evict by second chance (CLOCK): a hit
 //! sets the entry's reference bit under the read lock, and a full shard's
 //! insert sweeps a hand over the map's slots, clearing the bits of
@@ -47,7 +52,7 @@
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, OnceLock, RwLock};
 
 use tpe_arith::encode::EncodingKind;
 use tpe_arith::Precision;
@@ -56,8 +61,8 @@ use tpe_sim::array::ClassicArch;
 use tpe_workloads::{LayerShape, NetworkModel};
 
 use crate::caps::{CycleModel, SerialSampleCaps};
-use crate::report::{LayerReport, ModelReport};
-use crate::spec::{Bound, EnginePrice, EngineSpec};
+use crate::report::{ModelRecord, ModelReport};
+use crate::spec::{EnginePrice, EngineSpec};
 
 /// Number of independent lock shards per map. 16 keeps the footprint
 /// trivial while making same-shard contention unlikely at realistic
@@ -294,7 +299,7 @@ impl SerialLayerRecord {
 fn model_content_hash(net: &NetworkModel) -> u64 {
     let mut h = crate::Fnv1a::default();
     h.write_u64(net.layers.len() as u64);
-    for layer in &net.layers {
+    for layer in net.layers.iter() {
         h.write(layer.name.as_bytes());
         h.write(&[0]);
         for dim in [layer.m, layer.n, layer.k, layer.repeats] {
@@ -361,87 +366,6 @@ impl ModelKey {
     }
 }
 
-/// The memoized outcome of one whole-model walk: the shared per-layer
-/// rows plus every end-to-end aggregate, so a warm hit rebuilds a
-/// bit-identical [`ModelReport`] (or the dse model-point aggregates)
-/// with nothing but `Arc` refcount bumps — no per-layer rewalk, no
-/// allocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelRecord {
-    /// Network name (shared with every report built from this record).
-    pub model: Arc<str>,
-    /// Per-layer breakdown, in execution order (shared slice).
-    pub layers: Arc<[LayerReport]>,
-    /// Total useful MACs.
-    pub total_macs: u64,
-    /// Total array cycles (sum over layers, in layer order).
-    pub cycles: f64,
-    /// End-to-end latency (µs).
-    pub delay_us: f64,
-    /// Total energy (µJ).
-    pub energy_uj: f64,
-    /// Delay-weighted average utilization.
-    pub utilization: f64,
-    /// Total array area (µm²), from the engine price.
-    pub area_um2: f64,
-    /// Peak throughput (TOPS), from the engine price.
-    pub peak_tops: f64,
-    /// Total bytes moved (sum over layers).
-    pub bytes_moved: f64,
-    /// Whole-model arithmetic intensity (ops per byte moved).
-    pub intensity_ops_per_byte: f64,
-    /// The dominant roofline bound over the model.
-    pub bound: Bound,
-    /// Pooled per-column busy cycles across layers (in layer order) —
-    /// what the dse model-point aggregation
-    /// ([`crate::schedule::serial_model_cycles`]) divides by
-    /// `cycles × MP`. Zero for dense engines, which never pool busy
-    /// cycles.
-    pub busy_sum: f64,
-}
-
-impl ModelRecord {
-    /// Captures a freshly assembled report (plus the serial busy pool).
-    pub fn of(report: &ModelReport, busy_sum: f64) -> Self {
-        Self {
-            model: report.model.clone(),
-            layers: report.layers.clone(),
-            total_macs: report.total_macs,
-            cycles: report.cycles,
-            delay_us: report.delay_us,
-            energy_uj: report.energy_uj,
-            utilization: report.utilization,
-            area_um2: report.area_um2,
-            peak_tops: report.peak_tops,
-            bytes_moved: report.bytes_moved,
-            intensity_ops_per_byte: report.intensity_ops_per_byte,
-            bound: report.bound,
-            busy_sum,
-        }
-    }
-
-    /// Rebuilds the full report for `engine` — bit-identical to the walk
-    /// that produced this record, allocation-free (`EngineSpec` holds no
-    /// heap data; everything else is a refcount bump or a plain copy).
-    pub fn to_report(&self, engine: &EngineSpec) -> ModelReport {
-        ModelReport {
-            model: self.model.clone(),
-            engine: engine.clone(),
-            layers: self.layers.clone(),
-            total_macs: self.total_macs,
-            cycles: self.cycles,
-            delay_us: self.delay_us,
-            energy_uj: self.energy_uj,
-            utilization: self.utilization,
-            area_um2: self.area_um2,
-            peak_tops: self.peak_tops,
-            bytes_moved: self.bytes_moved,
-            intensity_ops_per_byte: self.intensity_ops_per_byte,
-            bound: self.bound,
-        }
-    }
-}
-
 /// Cache hit/miss counters at one observation point, per lookup family
 /// (see [`EngineCache::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -470,12 +394,19 @@ pub struct CacheStats {
     /// Accounted whole-model lookups; at quiescence
     /// `model_lookups == model_hits + model_misses`.
     pub model_lookups: u64,
+    /// Whole-model report (per-layer rows) lookups served from memory.
+    pub report_hits: u64,
+    /// Whole-model report lookups that built the rows.
+    pub report_misses: u64,
+    /// Accounted report lookups; at quiescence
+    /// `report_lookups == report_hits + report_misses`.
+    pub report_lookups: u64,
 }
 
 impl CacheStats {
     /// Every counter under its wire name, in reply order — the one list
     /// the serve `stats` and `metrics` ops render ([`cache_fields`]).
-    pub fn counters(&self) -> [(&'static str, u64); 9] {
+    pub fn counters(&self) -> [(&'static str, u64); 12] {
         [
             ("price_hits", self.price_hits),
             ("price_misses", self.price_misses),
@@ -486,17 +417,20 @@ impl CacheStats {
             ("price_lookups", self.price_lookups),
             ("cycle_lookups", self.cycle_lookups),
             ("model_lookups", self.model_lookups),
+            ("report_hits", self.report_hits),
+            ("report_misses", self.report_misses),
+            ("report_lookups", self.report_lookups),
         ]
     }
 
     /// Total lookups served from memory.
     pub fn hits(&self) -> u64 {
-        self.price_hits + self.cycle_hits + self.model_hits
+        self.price_hits + self.cycle_hits + self.model_hits + self.report_hits
     }
 
     /// Total lookups that computed.
     pub fn misses(&self) -> u64 {
-        self.price_misses + self.cycle_misses + self.model_misses
+        self.price_misses + self.cycle_misses + self.model_misses + self.report_misses
     }
 
     /// Total accounted lookups across all maps. At quiescence this equals
@@ -504,7 +438,7 @@ impl CacheStats {
     /// map's lookup counter and then exactly one of that map's hit/miss
     /// counters.
     pub fn lookups(&self) -> u64 {
-        self.price_lookups + self.cycle_lookups + self.model_lookups
+        self.price_lookups + self.cycle_lookups + self.model_lookups + self.report_lookups
     }
 
     /// Fraction of lookups served from memory (0 when never queried).
@@ -530,14 +464,19 @@ impl CacheStats {
             model_hits: self.model_hits.saturating_sub(earlier.model_hits),
             model_misses: self.model_misses.saturating_sub(earlier.model_misses),
             model_lookups: self.model_lookups.saturating_sub(earlier.model_lookups),
+            report_hits: self.report_hits.saturating_sub(earlier.report_hits),
+            report_misses: self.report_misses.saturating_sub(earlier.report_misses),
+            report_lookups: self.report_lookups.saturating_sub(earlier.report_lookups),
         }
     }
 }
 
-/// A plain-data export of every memoized entry across the four maps —
-/// the unit of cache persistence ([`crate::snapshot`]) and of bulk
-/// warm-start import. Entry order is unspecified (shard hashing is not
-/// stable across processes); the snapshot codec canonicalizes it.
+/// A plain-data export of every memoized entry across the four persisted
+/// maps — the unit of cache persistence ([`crate::snapshot`]) and of bulk
+/// warm-start import. The reports map is not exported: its rows are
+/// rebuilt from the cycle map by the first report that asks for them.
+/// Entry order is unspecified (shard hashing is not stable across
+/// processes); the snapshot codec canonicalizes it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheContents {
     /// PE synthesis outcomes (`None` = cannot close timing).
@@ -769,7 +708,7 @@ pub struct MapOccupancy {
 pub fn cache_fields(
     now: &CacheStats,
     window: Option<&CacheStats>,
-    occupancy: [(&'static str, MapOccupancy); 4],
+    occupancy: [(&'static str, MapOccupancy); 5],
 ) -> Vec<(String, u64)> {
     let mut fields: Vec<(String, u64)> = now
         .counters()
@@ -782,7 +721,7 @@ pub fn cache_fields(
                 .map(|(name, v)| (format!("since_{name}"), v)),
         );
     }
-    let [(_, records), _, (_, cycles), (_, models)] = occupancy;
+    let [(_, records), _, (_, cycles), (_, models), _] = occupancy;
     for (alias, o) in [("priced", records), ("cycle", cycles), ("model", models)] {
         fields.push((format!("{alias}_entries"), o.entries as u64));
     }
@@ -809,6 +748,9 @@ pub struct EngineCache {
     prices: Memo<PriceKey, Option<EnginePrice>>,
     cycles: Memo<CycleKey, SerialLayerRecord>,
     models: Memo<ModelKey, ModelRecord>,
+    /// Whole reports, rows included; `None` = the engine cannot close
+    /// timing.
+    reports: Memo<ModelKey, Option<ModelReport>>,
     /// Counter levels at the last [`Self::window_delta`] call — the
     /// observation window the serve `stats` op reports per-window rates
     /// over.
@@ -829,7 +771,7 @@ impl EngineCache {
     }
 
     /// An empty cache holding at most about `entries_per_map` entries in
-    /// each of its four maps: the capacity is split evenly over the
+    /// each of its five maps: the capacity is split evenly over the
     /// shards (at least one entry each), and a full shard evicts by
     /// second chance.
     pub fn bounded(entries_per_map: usize) -> Self {
@@ -842,6 +784,7 @@ impl EngineCache {
             prices: Memo::new(shard_capacity),
             cycles: Memo::new(shard_capacity),
             models: Memo::new(shard_capacity),
+            reports: Memo::new(shard_capacity),
             last_window: Mutex::new(CacheStats::default()),
         }
     }
@@ -899,7 +842,7 @@ impl EngineCache {
 
     /// Returns the whole-model record for `key`, running `assemble` (the
     /// full per-layer walk) on a miss; the returned record is a cheap
-    /// clone (`Arc` bumps and plain copies).
+    /// clone (an `Arc` bump and plain copies).
     ///
     /// Accounting note: a miss's `assemble` closure consults the price
     /// and cycle maps internally — those lookups keep counting in their
@@ -911,6 +854,18 @@ impl EngineCache {
         assemble: impl FnOnce() -> ModelRecord,
     ) -> ModelRecord {
         self.models.get_or_insert_with(key, assemble)
+    }
+
+    /// Returns the whole-model report for `key`, rows included, running
+    /// `assemble` on a miss (`None`: the engine cannot close timing).
+    /// A hit is `Arc` bumps and plain copies; a miss's lookups count in
+    /// their own families, as for [`Self::model_record`].
+    pub fn model_report(
+        &self,
+        key: ModelKey,
+        assemble: impl FnOnce() -> Option<ModelReport>,
+    ) -> Option<ModelReport> {
+        self.reports.get_or_insert_with(key, assemble)
     }
 
     /// Counters at this instant, read from the memos. The price family
@@ -930,6 +885,9 @@ impl EngineCache {
             model_hits: n(&self.models.hits),
             model_misses: n(&self.models.misses),
             model_lookups: n(&self.models.lookups),
+            report_hits: n(&self.reports.hits),
+            report_misses: n(&self.reports.misses),
+            report_lookups: n(&self.reports.lookups),
         }
     }
 
@@ -946,8 +904,9 @@ impl EngineCache {
         delta
     }
 
-    /// Copies every memoized entry out of the four maps. Only memoized
-    /// *values* are exported — hit/miss counters describe this process's
+    /// Copies every memoized entry out of the four persisted maps (not
+    /// the reports, see [`CacheContents`]). Only memoized *values* are
+    /// exported — hit/miss counters describe this process's
     /// history, not the cache contents, so they stay behind.
     pub fn export(&self) -> CacheContents {
         CacheContents {
@@ -982,25 +941,33 @@ impl EngineCache {
         self.cycles.len()
     }
 
-    /// Number of distinct whole-model reports memoized.
+    /// Number of distinct whole-model records memoized.
     pub fn models_len(&self) -> usize {
         self.models.len()
     }
 
+    /// Number of whole-model reports (with their rows) memoized.
+    pub fn reports_len(&self) -> usize {
+        self.reports.len()
+    }
+
     /// Entries held and evictions made by each map, under its metric
-    /// name: `records`, `prices`, `cycles`, `models`, in that order.
-    pub fn occupancy(&self) -> [(&'static str, MapOccupancy); 4] {
+    /// name: `records`, `prices`, `cycles`, `models`, `reports`, in that
+    /// order.
+    pub fn occupancy(&self) -> [(&'static str, MapOccupancy); 5] {
         [
             ("records", self.records.occupancy()),
             ("prices", self.prices.occupancy()),
             ("cycles", self.cycles.occupancy()),
             ("models", self.models.occupancy()),
+            ("reports", self.reports.occupancy()),
         ]
     }
 
-    /// Total entries across all four maps (what a snapshot would carry).
+    /// Total entries across the four persisted maps: what a snapshot
+    /// carries ([`Self::export`]).
     pub fn entry_count(&self) -> usize {
-        self.occupancy().iter().map(|(_, o)| o.entries).sum()
+        self.occupancy()[..4].iter().map(|(_, o)| o.entries).sum()
     }
 
     /// Whether nothing has been memoized yet.
@@ -1180,19 +1147,6 @@ mod tests {
     fn model_fixture() -> ModelRecord {
         ModelRecord {
             model: "toy".into(),
-            layers: vec![LayerReport {
-                name: "fc1".into(),
-                macs: 64,
-                tiles: 1.0,
-                cycles: 10.0,
-                delay_us: 0.005,
-                utilization: 0.5,
-                energy_uj: 0.25,
-                bytes_moved: 192.0,
-                intensity_ops_per_byte: 2.0 * 64.0 / 192.0,
-                bound: Bound::Compute,
-            }]
-            .into(),
             total_macs: 64,
             cycles: 10.0,
             delay_us: 0.005,
@@ -1202,7 +1156,7 @@ mod tests {
             peak_tops: 2.0,
             bytes_moved: 192.0,
             intensity_ops_per_byte: 2.0 * 64.0 / 192.0,
-            bound: Bound::Compute,
+            bound: crate::spec::Bound::Compute,
             busy_sum: 9.0,
         }
     }
@@ -1239,10 +1193,10 @@ mod tests {
         let caps = crate::caps::SampleProfile::Model.caps();
         let k = ModelKey::of(&spec, &net, 42, caps);
         let mut edited = net.clone();
-        edited.layers[0].k += 1;
+        std::sync::Arc::make_mut(&mut edited.layers)[0].k += 1;
         assert_ne!(k, ModelKey::of(&spec, &edited, 42, caps));
         let mut requantized = net.clone();
-        requantized.layers[0].precision = Some(Precision::W4);
+        std::sync::Arc::make_mut(&mut requantized.layers)[0].precision = Some(Precision::W4);
         assert_ne!(k, ModelKey::of(&spec, &requantized, 42, caps));
         assert_ne!(k, ModelKey::of(&spec, &net, 43, caps), "sampled seeds key");
         let analytic = SerialSampleCaps {

@@ -11,6 +11,7 @@
 //! deterministic functions of (engine, workload, seed), so any two paths
 //! that ask the same question get byte-identical answers.
 
+use std::fmt::Write;
 use std::sync::{Arc, OnceLock};
 
 use tpe_core::arch::{ArchKind, ArrayModel};
@@ -20,13 +21,13 @@ use tpe_workloads::NetworkModel;
 
 #[cfg(doc)]
 use crate::cache::PriceKey;
-use crate::cache::{EngineCache, ModelKey, ModelRecord, PeKey, PeRecord};
+use crate::cache::{EngineCache, ModelKey, PeKey, PeRecord};
 use crate::caps::{CycleModel, SampleProfile, SerialSampleCaps};
-use crate::fnv1a;
-use crate::report::ModelReport;
+use crate::report::{ModelRecord, ModelReport};
 use crate::schedule::{cached_serial_cycles, layer_traffic};
 use crate::spec::{Bound, EnginePrice, EngineSpec};
 use crate::workload::SweepWorkload;
+use crate::Fnv1a;
 
 /// Re-exported from `tpe-core`: expected digits per operand of an encoder
 /// on quantized-normal INT8 data (the serial peak-throughput divisor),
@@ -277,13 +278,13 @@ impl<'c> Evaluator<'c> {
         let price = self.price(spec)?;
 
         let freq = spec.freq_ghz;
-        let point_seed = || seed ^ fnv1a(&format!("{}/{}", spec.seed_label(), workload.name()));
+        let point_seed = point_seed(seed, spec, workload.name());
         let (cycles, busy_frac, model_rec) = match (workload, spec.kind) {
             (SweepWorkload::Model(net), kind) => {
                 // One model-map lookup. The pooled serial busy fraction
                 // reproduces `serial_model_cycles` bit for bit; dense
                 // arrays clock every PE every cycle, useful or not.
-                let rec = self.model_record(spec, &price, net, point_seed());
+                let rec = self.model_record(spec, &price, net, point_seed);
                 let busy_frac = match kind {
                     ArchKind::Dense(_) => 1.0,
                     ArchKind::Serial if rec.cycles > 0.0 => {
@@ -304,7 +305,7 @@ impl<'c> Evaluator<'c> {
                     model: self.cycle_model,
                     ..SampleProfile::Sweep.caps_for(spec.precision)
                 };
-                let rec = cached_serial_cycles(self.cache, spec, layer, point_seed(), caps);
+                let rec = cached_serial_cycles(self.cache, spec, layer, point_seed, caps);
                 (rec.cycles, rec.utilization(), None)
             }
         };
@@ -398,33 +399,68 @@ impl<'c> Evaluator<'c> {
     /// convention (`seed ^ fnv1a("{engine}/{model}")` over the engine's
     /// [`EngineSpec::seed_label`], per-layer seeds mixed inside), at the
     /// same [`SampleProfile::Model`] budget as a [`SweepWorkload::Model`]
-    /// point — so the report and that point's [`Self::metrics`] share one
-    /// model record. `None` when the engine fails timing.
+    /// point — so the report's totals and that point's [`Self::metrics`]
+    /// are one model record. `None` when the engine fails timing.
     ///
-    /// Served from the model map: a repeated report for the same
-    /// (engine, model content, seed, cycle model) is one cache lookup
-    /// plus `Arc` refcount bumps — the per-layer path is not touched at
-    /// all.
+    /// Served from the reports map, the only map that keeps per-layer
+    /// rows: a repeated report for the same (engine, model content, seed,
+    /// cycle model) is that one lookup plus `Arc` refcount bumps — no
+    /// price probe, no per-layer path. A miss walks the layers (through
+    /// the cycle map), keeps the rows, and fills the model map too.
     pub fn model_report(
         &self,
         spec: &EngineSpec,
         net: &NetworkModel,
         seed: u64,
     ) -> Option<ModelReport> {
-        let price = self.price(spec)?;
-        let cell_seed = seed ^ fnv1a(&format!("{}/{}", spec.seed_label(), net.name));
-        Some(
-            self.model_record(spec, &price, net, cell_seed)
-                .to_report(spec),
-        )
+        let cell_seed = point_seed(seed, spec, &net.name);
+        let caps = self.model_caps(spec);
+        let key = ModelKey::of(spec, net, cell_seed, caps);
+        let report = self.cache.model_report(key.clone(), || {
+            let price = self.price(spec)?;
+            let rows = {
+                let _span = eval_obs().model_assemble_ns.span();
+                crate::schedule::assemble_model_rows(self.cache, spec, &price, net, cell_seed, caps)
+            };
+            let report = ModelReport::aggregate(net.name.as_str(), spec, &price, rows);
+            self.cache.model_record(key, || report.totals.clone());
+            Some(report)
+        })?;
+        // The key rounds the engine's clock and node; the report names
+        // the engine exactly as asked.
+        Some(ModelReport {
+            engine: spec.clone(),
+            ..report
+        })
     }
 
-    /// The cached whole-model record for `(spec, net, seed)`, sampled at
-    /// the one budget of every whole-model evaluation: the
+    /// The totals of [`Self::model_report`] without its rows: one price
+    /// probe and one model-map lookup, never a reports-map one. `None`
+    /// when the engine fails timing.
+    pub fn model_totals(
+        &self,
+        spec: &EngineSpec,
+        net: &NetworkModel,
+        seed: u64,
+    ) -> Option<ModelRecord> {
+        let price = self.price(spec)?;
+        Some(self.model_record(spec, &price, net, point_seed(seed, spec, &net.name)))
+    }
+
+    /// The sampling caps of every whole-model evaluation: the
     /// [`SampleProfile::Model`] caps at the engine's precision, under this
-    /// evaluator's cycle model. One model-map lookup; a miss runs the
-    /// dedup'd walk ([`crate::schedule::assemble_model_record`]) under
-    /// the `eval_model_assemble_ns` span.
+    /// evaluator's cycle model.
+    fn model_caps(&self, spec: &EngineSpec) -> SerialSampleCaps {
+        SerialSampleCaps {
+            model: self.cycle_model,
+            ..SampleProfile::Model.caps_for(spec.precision)
+        }
+    }
+
+    /// The cached whole-model record for `(spec, net, seed)`. One
+    /// model-map lookup; a miss runs the dedup'd walk
+    /// ([`crate::schedule::assemble_model_rows`]) under the
+    /// `eval_model_assemble_ns` span, sums its rows and drops them.
     fn model_record(
         &self,
         spec: &EngineSpec,
@@ -432,21 +468,32 @@ impl<'c> Evaluator<'c> {
         net: &NetworkModel,
         seed: u64,
     ) -> ModelRecord {
-        let caps = SerialSampleCaps {
-            model: self.cycle_model,
-            ..SampleProfile::Model.caps_for(spec.precision)
-        };
+        let caps = self.model_caps(spec);
         let key = ModelKey::of(spec, net, seed, caps);
         self.cache.model_record(key, || {
             let _span = eval_obs().model_assemble_ns.span();
-            crate::schedule::assemble_model_record(self.cache, spec, price, net, seed, caps)
+            let rows =
+                crate::schedule::assemble_model_rows(self.cache, spec, price, net, seed, caps);
+            ModelRecord::aggregate(net.name.as_str(), price, &rows)
         })
     }
+}
+
+/// The seed of one (engine, workload) evaluation:
+/// `seed ^ fnv1a("{seed_label}/{workload}")`, with the label written
+/// straight into the hasher instead of being formatted into a string.
+fn point_seed(seed: u64, spec: &EngineSpec, workload: &str) -> u64 {
+    let mut h = Fnv1a::default();
+    spec.write_seed_label(&mut h)
+        .and_then(|()| write!(h, "/{workload}"))
+        .expect("hashing cannot fail");
+    seed ^ h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fnv1a;
     use tpe_arith::encode::EncodingKind;
     use tpe_core::arch::PeStyle;
     use tpe_sim::array::ClassicArch;
@@ -731,23 +778,52 @@ mod tests {
         assert!(delta.hits() > 0);
     }
 
-    /// A warm model report is exactly one model-map hit: the per-layer
-    /// cycle counters must not move at all (the rewalk is gone, not just
-    /// cheap).
+    /// A warm model report is exactly one reports-map hit and no other
+    /// lookup at all: no price probe, no model-map read, no per-layer
+    /// cycle lookup.
     #[test]
-    fn warm_model_report_is_a_single_model_map_hit() {
+    fn warm_model_report_is_a_single_reports_map_hit() {
         let cache = EngineCache::new();
         let eval = Evaluator::new(&cache);
         let spec = EngineSpec::serial(PeStyle::Opt4E, EncodingKind::EnT, 2.0);
         let net = models::resnet18();
-        eval.model_report(&spec, &net, 77).unwrap();
+        let first = eval.model_report(&spec, &net, 77).unwrap();
         let before = cache.stats();
         let report = eval.model_report(&spec, &net, 77).unwrap();
         let delta = cache.stats().since(&before);
-        assert_eq!((delta.model_hits, delta.model_misses), (1, 0));
-        assert_eq!(delta.cycle_lookups, 0, "layer path untouched on a hit");
-        assert_eq!(delta.price_hits, 1, "the price probe still counts");
+        assert_eq!((delta.report_hits, delta.report_misses), (1, 0));
+        assert_eq!(delta.lookups(), 1, "one lookup in all: {delta:?}");
+        assert_eq!(report, first);
         assert_eq!(report.layer_count(), net.layers.len());
+        assert_eq!(cache.reports_len(), 1);
+    }
+
+    /// The point seed is hashed without building its label, and equals
+    /// the `format!` form the goldens were generated with — at the
+    /// default precision, off it, and on a finite memory corner (which
+    /// the seed label leaves out).
+    #[test]
+    fn point_seed_streams_the_exact_format_bytes() {
+        use crate::spec::MemorySpec;
+        use tpe_arith::Precision;
+        let serial = EngineSpec::serial(PeStyle::Opt4C, EncodingKind::Csd, 2.5);
+        for spec in [
+            serial.clone(),
+            serial.clone().with_precision(Precision::W4),
+            serial.with_precision(Precision::W8X4),
+            EngineSpec::dense(PeStyle::Opt1, ClassicArch::Ascend, 1.5)
+                .with_precision(Precision::new(6, 10, 28))
+                .with_memory(MemorySpec::edge()),
+        ] {
+            for name in ["ResNet18", "l2.0-3x3s2", "", "weird/τ—name"] {
+                assert_eq!(
+                    point_seed(42, &spec, name),
+                    42 ^ fnv1a(&format!("{}/{name}", spec.seed_label())),
+                    "{} {name:?}",
+                    spec.label()
+                );
+            }
+        }
     }
 
     /// Repeated `SweepWorkload::Model` metrics collapse to one model-map
@@ -779,8 +855,9 @@ mod tests {
 
     /// A whole-model report and a `SweepWorkload::Model` point share one
     /// sampling budget at every precision, so after the point's `metrics`
-    /// call the report is one model-map hit with no miss anywhere — the
-    /// `repro models` grid and `repro dse --model` agree off W8 too.
+    /// call the report reads the point's model record and every cycle
+    /// record its rows need: the report's own lookup is the only miss —
+    /// the `repro models` grid and `repro dse --model` agree off W8 too.
     #[test]
     fn model_report_reuses_the_model_point_record_off_w8() {
         use tpe_arith::Precision;
@@ -802,10 +879,14 @@ mod tests {
                 "{}",
                 spec.label()
             );
-            assert_eq!(delta.misses(), 0, "{}: {delta:?}", spec.label());
-            // One record, two roundings: the point divides the summed
-            // cycles by the clock, the report sums per-layer delays.
-            let rel = (report.delay_us - point.delay_us).abs() / point.delay_us;
+            assert_eq!(
+                delta.misses(),
+                delta.report_misses,
+                "{}: {delta:?}",
+                spec.label()
+            );
+            assert_eq!(delta.report_misses, 1, "{}", spec.label());
+            let rel = (report.totals.delay_us - point.delay_us).abs() / point.delay_us;
             assert!(rel < 1e-12, "{}: {rel}", spec.label());
         }
     }
@@ -826,7 +907,7 @@ mod tests {
                 let spec = spec.clone().with_precision(precision);
                 let point = eval.metrics(&spec, &SweepWorkload::Model(net.clone()), 42);
                 let report = eval.model_report(&spec, &net, 42).unwrap();
-                let (p, r) = (point.unwrap().delay_us, report.delay_us);
+                let (p, r) = (point.unwrap().delay_us, report.totals.delay_us);
                 assert_eq!(p.to_bits(), r.to_bits(), "{}", spec.label());
             }
         }
@@ -891,7 +972,7 @@ mod tests {
         let net = models::resnet18();
         let r = eval.model_report(&spec, &net, 7).unwrap();
         let bytes: f64 = r.layers.iter().map(|l| l.bytes_moved).sum();
-        assert_eq!(r.bytes_moved.to_bits(), bytes.to_bits());
+        assert_eq!(r.totals.bytes_moved.to_bits(), bytes.to_bits());
         for l in r.layers.iter() {
             assert!(l.bytes_moved > 0.0, "{}", l.name);
         }
@@ -930,8 +1011,12 @@ mod tests {
                         layer.name
                     );
                 }
-                let free = eval.model_report(&spec, &net, 7).unwrap().delay_us;
-                let corner = eval.model_report(&bounded, &net, 7).unwrap().delay_us;
+                let free = eval.model_report(&spec, &net, 7).unwrap().totals.delay_us;
+                let corner = eval
+                    .model_report(&bounded, &net, 7)
+                    .unwrap()
+                    .totals
+                    .delay_us;
                 assert!(corner >= free, "{}: {corner} < {free}", bounded.label());
             }
         }

@@ -37,10 +37,11 @@
 //! * [`cache`] — [`EngineCache`]: the process-wide concurrent memo cache,
 //!   sharded `RwLock` maps keyed on [`cache::PeKey`] (synthesis),
 //!   [`cache::CycleKey`] (sampled workload cycles) and [`ModelKey`]
-//!   (whole-model reports, so repeated `model` queries are one lookup).
-//! * [`snapshot`] — versioned binary persistence of the cache's four
-//!   maps (atomic save, checksummed strict-reject load), so warm state
-//!   survives restarts and seeds fresh replicas.
+//!   (whole-model records, and separately the reports that keep their
+//!   per-layer rows, so repeated `model` queries are one lookup).
+//! * [`snapshot`] — versioned binary persistence of every cache map but
+//!   the reports (atomic save, checksummed strict-reject load), so warm
+//!   state survives restarts and seeds fresh replicas.
 //! * [`eval`] — [`Evaluator`]: one (engine, workload, seed) →
 //!   [`eval::Metrics`] / [`report::ModelReport`], bit-identical no matter
 //!   which consumer asks.
@@ -77,10 +78,10 @@ pub mod snapshot;
 pub mod spec;
 pub mod workload;
 
-pub use cache::{CacheContents, CacheStats, EngineCache, ModelKey, ModelRecord};
+pub use cache::{CacheContents, CacheStats, EngineCache, ModelKey};
 pub use caps::{CycleModel, SampleProfile, SerialSampleCaps};
 pub use eval::{Evaluator, Metrics};
-pub use report::{LayerReport, ModelReport};
+pub use report::{LayerReport, ModelRecord, ModelReport};
 pub use schedule::{
     dense_model_cycles, dense_tiles, evaluate_model, schedule_layer, serial_model_cycles,
     LayerSchedule, MODEL_SAMPLE_CAPS,

@@ -1,13 +1,13 @@
 //! Per-layer and end-to-end model reports: the model scheduler's output
 //! schema.
 //!
-//! A [`ModelReport`] is the model-level analogue of a sweep
+//! A [`ModelRecord`] is the model-level analogue of a sweep
 //! [`Metrics`](crate::eval::Metrics) row — the quantities Figures 12–13
 //! compare across networks: end-to-end latency, sustained throughput,
-//! energy, TOPS/W and delay-weighted utilization. Aggregates are pure
-//! sums/weighted means of the per-layer rows (property-tested in
-//! `tpe-dse`'s suite), so layer and model views can never drift
-//! apart.
+//! energy, TOPS/W and delay-weighted utilization. A [`ModelReport`] adds
+//! the per-layer rows. Aggregates are pure sums/weighted means of those
+//! rows (property-tested in `tpe-dse`'s suite), so layer and model views
+//! can never drift apart.
 
 use std::sync::Arc;
 
@@ -15,9 +15,8 @@ use crate::spec::{Bound, EnginePrice, EngineSpec};
 
 /// One layer's scheduled outcome on one engine.
 ///
-/// The label is `Arc`-backed so a report rebuilt from a cached
-/// [`ModelRecord`](crate::cache::ModelRecord) shares the rows instead of
-/// re-cloning every name.
+/// The label is `Arc`-backed so a report served from the cache shares
+/// the rows instead of re-cloning every name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerReport {
     /// Layer label (the figure x-axis names).
@@ -41,18 +40,20 @@ pub struct LayerReport {
     pub intensity_ops_per_byte: f64,
     /// The binding roofline resource for this layer.
     pub bound: Bound,
+    /// Busy cycles summed over the serial array's columns (0 for dense
+    /// engines, which never pool busy cycles).
+    pub busy_sum: f64,
 }
 
-/// End-to-end evaluation of one model on one engine.
+/// The end-to-end aggregates of one model on one engine: everything a
+/// [`ModelReport`] holds except the engine and the per-layer rows. It is
+/// what the cache's model map memoizes, what a whole-network design point
+/// projects and what the serve `model` op renders; only a report keeps
+/// the rows it was summed from.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ModelReport {
+pub struct ModelRecord {
     /// Network name (Figure 12/13 labels).
     pub model: Arc<str>,
-    /// The engine evaluated.
-    pub engine: EngineSpec,
-    /// Per-layer breakdown, in execution order (shared slice: warm cache
-    /// hits hand out refcount bumps, not row clones).
-    pub layers: Arc<[LayerReport]>,
     /// Total useful MACs.
     pub total_macs: u64,
     /// Total array cycles (sum over layers).
@@ -74,18 +75,20 @@ pub struct ModelReport {
     /// The dominant roofline bound: the bound class holding the largest
     /// share of end-to-end delay (ties prefer compute, then SRAM).
     pub bound: Bound,
+    /// Busy cycles pooled across layers (in layer order) — what an
+    /// unbounded-corner dse model point divides by `cycles × MP` for its
+    /// busy fraction (see [`crate::schedule::serial_model_cycles`]).
+    pub busy_sum: f64,
 }
 
-impl ModelReport {
-    /// Builds the end-to-end aggregate from per-layer rows. `engine` is
-    /// borrowed (its clone is allocation-free — every field is scalar or
-    /// `&'static`); the model label accepts anything `Arc<str>`-able so
-    /// callers with a shared name pass it without re-allocating.
+impl ModelRecord {
+    /// Sums per-layer rows into the end-to-end aggregates. The model
+    /// label accepts anything `Arc<str>`-able, so callers with a shared
+    /// name pass it without re-allocating.
     pub fn aggregate(
         model: impl Into<Arc<str>>,
-        engine: &EngineSpec,
         price: &EnginePrice,
-        layers: Vec<LayerReport>,
+        layers: &[LayerReport],
     ) -> Self {
         let delay_us: f64 = layers.iter().map(|l| l.delay_us).sum();
         let util_weighted: f64 = layers.iter().map(|l| l.utilization * l.delay_us).sum();
@@ -93,7 +96,6 @@ impl ModelReport {
         let bytes_moved: f64 = layers.iter().map(|l| l.bytes_moved).sum();
         Self {
             model: model.into(),
-            engine: engine.clone(),
             total_macs,
             cycles: layers.iter().map(|l| l.cycles).sum(),
             delay_us,
@@ -111,8 +113,8 @@ impl ModelReport {
             } else {
                 0.0
             },
-            bound: dominant_bound(&layers),
-            layers: layers.into(),
+            bound: dominant_bound(layers),
+            busy_sum: layers.iter().map(|l| l.busy_sum).sum(),
         }
     }
 
@@ -143,6 +145,37 @@ impl ModelReport {
             self.throughput_gops() / 1e3 / power
         } else {
             0.0
+        }
+    }
+}
+
+/// End-to-end evaluation of one model on one engine: its aggregates and
+/// the per-layer rows they sum.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModelReport {
+    /// The engine evaluated.
+    pub engine: EngineSpec,
+    /// Per-layer breakdown, in execution order (shared slice: warm cache
+    /// hits hand out refcount bumps, not row clones).
+    pub layers: Arc<[LayerReport]>,
+    /// The end-to-end aggregates over `layers`.
+    pub totals: ModelRecord,
+}
+
+impl ModelReport {
+    /// Builds the report from per-layer rows ([`ModelRecord::aggregate`]
+    /// sums them). `engine` is borrowed (its clone is allocation-free —
+    /// every field is scalar or `&'static`).
+    pub fn aggregate(
+        model: impl Into<Arc<str>>,
+        engine: &EngineSpec,
+        price: &EnginePrice,
+        layers: Vec<LayerReport>,
+    ) -> Self {
+        Self {
+            totals: ModelRecord::aggregate(model, price, &layers),
+            engine: engine.clone(),
+            layers: layers.into(),
         }
     }
 
@@ -194,6 +227,7 @@ mod tests {
             bytes_moved: macs as f64,
             intensity_ops_per_byte: 2.0,
             bound: Bound::Compute,
+            busy_sum: 0.0,
         }
     }
 
@@ -220,18 +254,19 @@ mod tests {
                 layer("b", 500, 300.0, 0.5, 1.0),
             ],
         );
-        assert_eq!(r.total_macs, 1500);
-        assert_eq!(r.cycles, 400.0);
-        assert_eq!(r.energy_uj, 4.0);
-        // Delay-weighted: (1.0·0.1 + 0.5·0.3) / 0.4 = 0.625.
-        assert!((r.utilization - 0.625).abs() < 1e-12);
-        assert!((r.throughput_gops() - 2.0 * 1500.0 / 0.4 / 1e3).abs() < 1e-9);
-        assert!((r.power_w() - 4.0 / 0.4).abs() < 1e-12);
-        assert!(r.tops_per_w() > 0.0);
         assert_eq!(r.layer_count(), 2);
-        assert_eq!(r.bytes_moved, 1500.0, "bytes sum over layers");
-        assert!((r.intensity_ops_per_byte - 2.0).abs() < 1e-12);
-        assert_eq!(r.bound, Bound::Compute);
+        let t = &r.totals;
+        assert_eq!(t.total_macs, 1500);
+        assert_eq!(t.cycles, 400.0);
+        assert_eq!(t.energy_uj, 4.0);
+        // Delay-weighted: (1.0·0.1 + 0.5·0.3) / 0.4 = 0.625.
+        assert!((t.utilization - 0.625).abs() < 1e-12);
+        assert!((t.throughput_gops() - 2.0 * 1500.0 / 0.4 / 1e3).abs() < 1e-9);
+        assert!((t.power_w() - 4.0 / 0.4).abs() < 1e-12);
+        assert!(t.tops_per_w() > 0.0);
+        assert_eq!(t.bytes_moved, 1500.0, "bytes sum over layers");
+        assert!((t.intensity_ops_per_byte - 2.0).abs() < 1e-12);
+        assert_eq!(t.bound, Bound::Compute);
     }
 
     #[test]
@@ -243,19 +278,19 @@ mod tests {
             layer("c", 10, 100.0, 1.0, 1.0),
         ];
         rows[1].bound = Bound::Dram;
-        let r = ModelReport::aggregate("toy", &engine, &price(), rows.clone());
+        let r = ModelRecord::aggregate("toy", &price(), &rows);
         assert_eq!(r.bound, Bound::Dram, "300 of 500 delay units are DRAM");
         rows[1].bound = Bound::Compute;
         rows[2].bound = Bound::Sram;
-        let r = ModelReport::aggregate("toy", &engine, &price(), rows.clone());
+        let r = ModelRecord::aggregate("toy", &price(), &rows);
         assert_eq!(r.bound, Bound::Compute);
         // Exact tie: compute wins over sram.
         rows[1].delay_us = 0.0;
-        let r = ModelReport::aggregate("toy", &engine, &price(), rows);
+        let r = ModelRecord::aggregate("toy", &price(), &rows);
         assert_eq!(r.bound, Bound::Compute);
         // Degenerate empty model.
         let empty = ModelReport::aggregate("empty", &engine, &price(), vec![]);
-        assert_eq!(empty.bound, Bound::Compute);
-        assert_eq!(empty.intensity_ops_per_byte, 0.0);
+        assert_eq!(empty.totals.bound, Bound::Compute);
+        assert_eq!(empty.totals.intensity_ops_per_byte, 0.0);
     }
 }

@@ -33,7 +33,7 @@ use tpe_sim::array::ClassicArch;
 use tpe_sim::BitsliceConfig;
 use tpe_workloads::{LayerShape, NetworkModel};
 
-use crate::cache::{CycleKey, EngineCache, ModelRecord, SerialLayerRecord};
+use crate::cache::{CycleKey, EngineCache, SerialLayerRecord};
 use crate::caps::{CycleModel, SampleProfile, SerialSampleCaps};
 use crate::report::{LayerReport, ModelReport};
 use crate::spec::{Bound, EnginePrice, EngineSpec, MemorySpec};
@@ -188,6 +188,9 @@ pub struct LayerSchedule {
     pub busy_frac: f64,
     /// Scheduling granularity: dense img2col tiles or serial sync rounds.
     pub tiles: f64,
+    /// Busy cycles summed over the serial array's columns (0 for dense
+    /// arrays, which never pool busy cycles).
+    pub busy_sum: f64,
 }
 
 /// The encoded-multiplicand width `layer` streams at on `spec`: the
@@ -302,6 +305,7 @@ pub fn schedule_layer_with(
                 cycles,
                 busy_frac: 1.0,
                 tiles: dense_tiles(arch, layer) as f64,
+                busy_sum: 0.0,
             }
         }
         ArchKind::Serial => {
@@ -310,6 +314,7 @@ pub fn schedule_layer_with(
                 cycles: rec.cycles,
                 busy_frac: rec.utilization(),
                 tiles: rec.rounds,
+                busy_sum: rec.busy_sum,
             }
         }
     }
@@ -388,8 +393,8 @@ pub fn serial_model_cycles(
 
 /// Costs one scheduled layer into its report row. Shared between the
 /// naive per-layer walk ([`evaluate_model_with`]) and the dedup'd model
-/// assembly (`assemble_model_record`) so the two paths stay
-/// bit-identical by construction.
+/// assembly (`assemble_model_rows`) so the two paths stay bit-identical
+/// by construction.
 fn layer_row(
     engine: &EngineSpec,
     price: &EnginePrice,
@@ -445,6 +450,7 @@ fn layer_row(
         bytes_moved,
         intensity_ops_per_byte,
         bound,
+        busy_sum: s.busy_sum,
     }
 }
 
@@ -453,10 +459,10 @@ fn layer_row(
 /// [`ModelReport`].
 ///
 /// This is the naive per-layer oracle — one schedule per layer, no shape
-/// dedup. The cached model path (`assemble_model_record` behind
-/// [`EngineCache::model_record`]) must stay bit-identical to it; the
-/// equality is pinned by unit tests and a proptest across cycle models
-/// and precisions.
+/// dedup. The cached model path (`assemble_model_rows` behind
+/// [`EngineCache::model_record`] and [`EngineCache::model_report`]) must
+/// stay bit-identical to it; the equality is pinned by unit tests and a
+/// proptest across cycle models and precisions.
 pub fn evaluate_model_with(
     cache: &EngineCache,
     engine: &EngineSpec,
@@ -477,8 +483,9 @@ pub fn evaluate_model_with(
     ModelReport::aggregate(net.name.as_str(), engine, price, layers)
 }
 
-/// The model cache's miss path: one whole-model walk, restructured for
-/// speed but bit-identical to [`evaluate_model_with`]:
+/// The model caches' miss path: one whole-model walk into its per-layer
+/// rows, restructured for speed but bit-identical to the rows of
+/// [`evaluate_model_with`]:
 ///
 /// * **Hoisting** — the dense simulator (`at_paper_config`), the serial
 ///   [`BitsliceConfig`] and the encoder are built once per walk instead
@@ -491,25 +498,23 @@ pub fn evaluate_model_with(
 ///   canonicalizes seeds to zero, so repeated shapes collapse across the
 ///   whole network; sampled mode dedups only layers whose derived seeds
 ///   coincide, exactly as the naive loop would have sampled them.
-/// * **Pooled busy cycles** — `busy_sum` accumulates per occurrence in
-///   layer order, so the dse model-point busy fraction
-///   (`busy_sum / (cycles × MP)`, see [`serial_model_cycles`]) is the
-///   same f64 addition sequence as the naive loop.
-pub(crate) fn assemble_model_record(
+///
+/// The caller sums the rows ([`crate::report::ModelRecord::aggregate`])
+/// and keeps them only when a report asks for them.
+pub(crate) fn assemble_model_rows(
     cache: &EngineCache,
     spec: &EngineSpec,
     price: &EnginePrice,
     net: &NetworkModel,
     seed: u64,
     caps: SerialSampleCaps,
-) -> ModelRecord {
+) -> Vec<LayerReport> {
     let mut rows = Vec::with_capacity(net.layers.len());
-    let mut busy_sum = 0.0;
     match spec.kind {
         ArchKind::Dense(arch) => {
             let sim = arch.at_paper_config();
             let mut cycles_of: HashMap<(usize, usize, usize, usize), f64> = HashMap::new();
-            for layer in &net.layers {
+            for layer in net.layers.iter() {
                 let cycles = *cycles_of
                     .entry((layer.m, layer.n, layer.k, layer.repeats))
                     .or_insert_with(|| {
@@ -519,6 +524,7 @@ pub(crate) fn assemble_model_record(
                     cycles,
                     busy_frac: 1.0,
                     tiles: dense_tiles(arch, layer) as f64,
+                    busy_sum: 0.0,
                 };
                 rows.push(layer_row(spec, price, layer, s));
             }
@@ -559,18 +565,17 @@ pub(crate) fn assemble_model_record(
                         rec
                     }
                 };
-                busy_sum += rec.busy_sum;
                 let s = LayerSchedule {
                     cycles: rec.cycles,
                     busy_frac: rec.utilization(),
                     tiles: rec.rounds,
+                    busy_sum: rec.busy_sum,
                 };
                 rows.push(layer_row(spec, price, layer, s));
             }
         }
     }
-    let report = ModelReport::aggregate(net.name.as_str(), spec, price, rows);
-    ModelRecord::of(&report, busy_sum)
+    rows
 }
 
 /// [`evaluate_model_with`] against the process-wide global cache.
@@ -759,7 +764,7 @@ mod tests {
         }
     }
 
-    /// The dedup'd assembly behind the model cache must be bit-identical
+    /// The dedup'd assembly behind the model caches must be bit-identical
     /// to the naive per-layer oracle — dense and serial, repeated shapes,
     /// mixed-precision overrides — and the busy pool must reproduce
     /// [`serial_model_cycles`]' aggregate exactly.
@@ -774,7 +779,8 @@ mod tests {
                 LayerShape::new("b", 32, 196, 288, 2),
                 LayerShape::new("a1", 64, 784, 576, 1),
                 LayerShape::new("a4", 64, 784, 576, 1).with_precision(tpe_arith::Precision::W4),
-            ],
+            ]
+            .into(),
         };
         let engines = [
             opt4e(),
@@ -789,14 +795,16 @@ mod tests {
                 };
                 let cache = EngineCache::new();
                 let naive = evaluate_model_with(&cache, engine, &price, &net, 9, caps);
-                let rec = assemble_model_record(&cache, engine, &price, &net, 9, caps);
-                assert_eq!(rec.to_report(engine), naive, "{engine:?} {model:?}");
+                let rows = assemble_model_rows(&cache, engine, &price, &net, 9, caps);
+                let report = ModelReport::aggregate(net.name.as_str(), engine, &price, rows);
+                assert_eq!(report, naive, "{engine:?} {model:?}");
                 if matches!(engine.kind, ArchKind::Serial) {
                     let mp = serial_config(engine).mp;
+                    let t = &report.totals;
                     let (cycles, busy_frac) = serial_model_cycles(&cache, engine, &net, 9, caps);
-                    assert_eq!(rec.cycles.to_bits(), cycles.to_bits());
+                    assert_eq!(t.cycles.to_bits(), cycles.to_bits());
                     assert_eq!(
-                        (rec.busy_sum / (rec.cycles * mp as f64)).to_bits(),
+                        (t.busy_sum / (t.cycles * mp as f64)).to_bits(),
                         busy_frac.to_bits(),
                         "pooled busy cycles must reproduce the dse aggregate"
                     );
@@ -822,7 +830,7 @@ mod tests {
         let engine = opt4e();
         let price = engine.price().unwrap();
         let cache = EngineCache::new();
-        assemble_model_record(&cache, &engine, &price, &net, 3, caps);
+        assemble_model_rows(&cache, &engine, &price, &net, 3, caps);
         let stats = cache.stats();
         assert_eq!(cache.cycles_len(), 1, "six identical layers, one entry");
         assert_eq!(
@@ -869,7 +877,7 @@ mod tests {
                 copy.name = "dup".into();
                 layers.push(copy);
             }
-            let net = NetworkModel { name: "prop".into(), layers };
+            let net = NetworkModel { name: "prop".into(), layers: layers.into() };
             for engine in [
                 opt4e(),
                 EngineSpec::serial(PeStyle::Opt3, EncodingKind::Csd, 2.0),
@@ -886,10 +894,10 @@ mod tests {
                         let cache = EngineCache::new();
                         let naive =
                             evaluate_model_with(&cache, &engine, &price, &net, seed, caps);
-                        let rec =
-                            assemble_model_record(&cache, &engine, &price, &net, seed, caps);
+                        let rows =
+                            assemble_model_rows(&cache, &engine, &price, &net, seed, caps);
                         proptest::prop_assert_eq!(
-                            rec.to_report(&engine),
+                            ModelReport::aggregate("prop", &engine, &price, rows),
                             naive,
                             "{:?} {:?} {:?}",
                             engine.style,

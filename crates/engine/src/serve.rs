@@ -672,7 +672,9 @@ fn respond(
                 json_escape(&spec.label()),
                 json_escape(&net.name)
             );
-            let body = match eval.model_report(&spec, &net, seed) {
+            // Only the totals are rendered: the model map answers, and no
+            // per-layer row is built or kept.
+            let body = match eval.model_totals(&spec, &net, seed) {
                 Some(r) => {
                     let mut body = format!(
                         "{head},\
@@ -680,7 +682,7 @@ fn respond(
                          \"delay_us\":{:.4},\"energy_uj\":{:.6},\"gops\":{:.3},\
                          \"peak_tops\":{:.4},\"utilization\":{:.5},\"power_w\":{:.5},\
                          \"tops_per_w\":{:.4},\"area_um2\":{:.3}",
-                        r.layer_count(),
+                        net.layers.len(),
                         r.total_macs,
                         r.cycles,
                         r.delay_us,
@@ -1828,6 +1830,9 @@ mod tests {
             assert_eq!(metrics[*name], stats[field], "{field}");
         }
         assert_ne!(stats["records_evictions"], JsonValue::Num(0.0));
+        // The model op renders a record; it never builds or keeps rows.
+        assert_eq!(stats["reports_entries"], JsonValue::Num(0.0));
+        assert_eq!(stats["report_lookups"], JsonValue::Num(0.0));
         let names = |keys: Vec<&String>| keys.into_iter().cloned().collect::<Vec<_>>().join(" ");
         assert_eq!(
             names(stats.keys().collect()),
@@ -1835,9 +1840,11 @@ mod tests {
              cycles_evictions hit_rate id model_entries model_hits model_lookups \
              model_misses models_entries models_evictions ok op price_hits price_lookups \
              price_misses priced_entries prices_entries prices_evictions records_entries \
-             records_evictions since_cycle_hits since_cycle_lookups since_cycle_misses \
+             records_evictions report_hits report_lookups report_misses reports_entries \
+             reports_evictions since_cycle_hits since_cycle_lookups since_cycle_misses \
              since_hit_rate since_model_hits since_model_lookups since_model_misses \
-             since_price_hits since_price_lookups since_price_misses uptime_ms"
+             since_price_hits since_price_lookups since_price_misses since_report_hits \
+             since_report_lookups since_report_misses uptime_ms"
         );
         assert_eq!(
             names(folded),
@@ -1845,10 +1852,12 @@ mod tests {
              ctr_cache_cycles_evictions ctr_cache_model_hits ctr_cache_model_lookups \
              ctr_cache_model_misses ctr_cache_models_evictions ctr_cache_price_hits \
              ctr_cache_price_lookups ctr_cache_price_misses ctr_cache_prices_evictions \
-             ctr_cache_records_evictions gauge_cache_cycle_entries \
+             ctr_cache_records_evictions ctr_cache_report_hits ctr_cache_report_lookups \
+             ctr_cache_report_misses ctr_cache_reports_evictions gauge_cache_cycle_entries \
              gauge_cache_cycles_entries gauge_cache_model_entries \
              gauge_cache_models_entries gauge_cache_priced_entries \
-             gauge_cache_prices_entries gauge_cache_records_entries"
+             gauge_cache_prices_entries gauge_cache_records_entries \
+             gauge_cache_reports_entries"
         );
     }
 

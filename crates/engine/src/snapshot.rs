@@ -1,5 +1,6 @@
 //! Durable warm state: a versioned, std-only binary snapshot of the
-//! [`EngineCache`]'s four maps.
+//! [`EngineCache`]'s four persisted maps (every map but the reports,
+//! whose per-layer rows are rebuilt from the cycle map on demand).
 //!
 //! A long-running `repro serve` process (or a `repro dse` sweep) pays the
 //! cold synthesis/sampling cost exactly once — and then loses it with the
@@ -23,9 +24,10 @@
 //! the explicit tables below (exhaustive matches, so adding a variant
 //! fails to compile until the codec — and `LAYOUT_DESCRIPTOR` — is
 //! updated), `Option` as a presence byte, `f64` via `to_bits`, `usize`
-//! widened to `u64`. Model entries carry variable-length parts — strings
-//! are a `u64` byte length + UTF-8 bytes, layer lists a `u64` count +
-//! rows — everything still strictly length-checked against the payload.
+//! widened to `u64`. Model entries carry variable-length strings (a `u64`
+//! byte length + UTF-8 bytes), still strictly length-checked against the
+//! payload; they hold a model's aggregates only, never its per-layer rows
+//! (the cache's reports map, which keeps rows, is not persisted).
 //! Each map's layout is one `EntryCodec` implementation on its key type;
 //! one generic section writer and reader serve all four maps. Within
 //! each map the encoded entries are sorted by their byte representation:
@@ -54,11 +56,10 @@ use tpe_core::arch::PeStyle;
 use tpe_sim::array::ClassicArch;
 
 use crate::cache::{
-    CacheContents, CycleKey, EngineCache, ModelKey, ModelRecord, PeKey, PeRecord, PriceKey,
-    SerialLayerRecord,
+    CacheContents, CycleKey, EngineCache, ModelKey, PeKey, PeRecord, PriceKey, SerialLayerRecord,
 };
 use crate::caps::CycleModel;
-use crate::report::LayerReport;
+use crate::report::ModelRecord;
 use crate::spec::{Bound, EnginePrice};
 use crate::Fnv1a;
 
@@ -66,9 +67,9 @@ use crate::Fnv1a;
 /// the no-migration policy). v2 added the whole-model report map (a
 /// fourth count + entry section); v3 added the memory corner to the
 /// price/model keys and the roofline fields (bytes, intensity, bound) to
-/// layer rows and model aggregates. v1 and v2 snapshots are
-/// strict-rejected.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// layer rows and model aggregates; v4 dropped the per-layer rows from
+/// model entries. v1–v3 snapshots are strict-rejected.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Leading magic bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"TPECACHE";
@@ -76,7 +77,7 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"TPECACHE";
 /// Human-readable spelling of the entire entry layout *and* the enum
 /// code tables; its fnv1a hash rides in the header so a snapshot written
 /// under any other layout is rejected even if the version was not bumped.
-const LAYOUT_DESCRIPTOR: &str = "v3;\
+const LAYOUT_DESCRIPTOR: &str = "v4;\
      pe=style:u8,dense:opt(u8),in_pe_enc:opt(u8),prec:u32x3,freq_mhz:u32,node_dnm:u32;\
      pe_rec=opt(area:f64,active_uw:f64,idle_uw:f64,lanes:u32);\
      price=style:u8,dense:opt(u8),enc:u8,prec:u32x3,freq_mhz:u32,node_dnm:u32,\
@@ -88,9 +89,7 @@ const LAYOUT_DESCRIPTOR: &str = "v3;\
      model_key=style:u8,dense:opt(u8),enc:u8,prec:u32x3,freq_mhz:u32,node_dnm:u32,\
      model:str,layers_hash:u64,seed:u64,max_rounds:u64,max_operands:u64,cycle_model:u8,\
      sram_kib:u32,sram_bw:u32,dram_bw:u32;\
-     model_rec=model:str,layers:vec(name:str,macs:u64,tiles:f64,cycles:f64,delay_us:f64,\
-     util:f64,energy_uj:f64,bytes:f64,intensity:f64,bound:u8),\
-     total_macs:u64,cycles:f64,delay_us:f64,energy_uj:f64,util:f64,\
+     model_rec=model:str,total_macs:u64,cycles:f64,delay_us:f64,energy_uj:f64,util:f64,\
      area:f64,peak_tops:f64,bytes:f64,intensity:f64,bound:u8,busy_sum:f64;\
      str=len:u64,utf8;\
      styles=mac,opt1,opt2,opt3,opt4c,opt4e;archs=tpu,ascend,trapezoid,flexflow;\
@@ -477,14 +476,6 @@ impl EntryCodec for ModelKey {
         out.push(model_code(self.cycle_model));
         put_memory(out, &self.engine);
         put_str(out, &rec.model);
-        put_u64(out, rec.layers.len() as u64);
-        for l in rec.layers.iter() {
-            put_str(out, &l.name);
-            put_u64(out, l.macs);
-            put_f64s(out, &[l.tiles, l.cycles, l.delay_us, l.utilization]);
-            put_f64s(out, &[l.energy_uj, l.bytes_moved, l.intensity_ops_per_byte]);
-            out.push(bound_code(l.bound));
-        }
         put_u64(out, rec.total_macs);
         put_f64s(out, &[rec.cycles, rec.delay_us, rec.energy_uj]);
         put_f64s(out, &[rec.utilization, rec.area_um2, rec.peak_tops]);
@@ -504,26 +495,8 @@ impl EntryCodec for ModelKey {
             cycle_model: r.code(&CycleModel::ALL, model_code)?,
         };
         read_memory(r, &mut key.engine)?;
-        let model: Arc<str> = r.str()?.into();
-        let layers: Vec<LayerReport> = (0..r.usize()?)
-            .map(|_| {
-                Ok(LayerReport {
-                    name: r.str()?.into(),
-                    macs: r.u64()?,
-                    tiles: r.f64()?,
-                    cycles: r.f64()?,
-                    delay_us: r.f64()?,
-                    utilization: r.f64()?,
-                    energy_uj: r.f64()?,
-                    bytes_moved: r.f64()?,
-                    intensity_ops_per_byte: r.f64()?,
-                    bound: r.code(&BOUNDS, bound_code)?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
         let rec = ModelRecord {
-            model,
-            layers: layers.into(),
+            model: r.str()?.into(),
             total_macs: r.u64()?,
             cycles: r.f64()?,
             delay_us: r.f64()?,
@@ -735,7 +708,7 @@ mod tests {
         encode(&cache.export())
     }
 
-    /// The v3 bytes are pinned: a fixed cache warmed through the
+    /// The v4 bytes are pinned: a fixed cache warmed through the
     /// evaluator — all four maps, a cached infeasibility, a finite memory
     /// corner, analytic records and a layer precision override — encodes
     /// to one recorded length and hash. A codec refactor that moves a
@@ -770,8 +743,8 @@ mod tests {
         let bytes = encode(&contents);
         assert_eq!(
             (bytes.len(), Fnv1a::hash(&bytes)),
-            (11_960, 0x9ea0_e694_0edf_a84c),
-            "the v3 snapshot bytes moved"
+            (4_573, 0x4d13_7341_0283_04c7),
+            "the v4 snapshot bytes moved"
         );
     }
 
@@ -922,9 +895,12 @@ mod tests {
         fresh.import(decoded);
         let before = fresh.stats();
         let replay = Evaluator::new(&fresh)
-            .model_report(&spec, &net, 7)
+            .model_totals(&spec, &net, 7)
             .expect("feasible");
-        assert_eq!(replay, report, "imported model map must answer identically");
+        assert_eq!(
+            replay, report.totals,
+            "imported model map must answer identically"
+        );
         let delta = fresh.stats().since(&before);
         assert_eq!(
             (delta.model_hits, delta.model_misses),
@@ -932,6 +908,15 @@ mod tests {
             "replay must be a pure model-map hit"
         );
         assert_eq!(delta.cycle_lookups, 0, "no per-layer rewalk on replay");
+
+        // The rows were not persisted: a report rebuilds them from the
+        // imported cycle records without sampling anything.
+        let rebuilt = Evaluator::new(&fresh)
+            .model_report(&spec, &net, 7)
+            .expect("feasible");
+        assert_eq!(rebuilt, report);
+        let delta = fresh.stats().since(&before);
+        assert_eq!(delta.misses(), delta.report_misses, "{delta:?}");
     }
 
     #[test]
@@ -956,10 +941,10 @@ mod tests {
         assert!(decode(&short).is_err(), "truncated model entry must reject");
 
         // Older layouts are strict-rejected by version, not silently
-        // half-imported: the pre-model-map v1 and the pre-memory v2
-        // (whose price/model keys have no corner and whose rows carry no
-        // roofline fields) alike.
-        for old in [1u32, 2] {
+        // half-imported: the pre-model-map v1, the pre-memory v2 (whose
+        // price/model keys have no corner and whose rows carry no
+        // roofline fields) and v3 (whose model entries carry rows) alike.
+        for old in [1u32, 2, 3] {
             let mut stale = bytes.clone();
             stale[8..12].copy_from_slice(&old.to_le_bytes());
             let sum = Fnv1a::hash(&stale[SNAPSHOT_MAGIC.len()..end]);
@@ -969,5 +954,32 @@ mod tests {
                 "v{old} must be rejected by the version check"
             );
         }
+    }
+
+    /// A snapshot written by a v3 build — here an empty cache's: header,
+    /// the v3 layout hash, four zero counts, checksum — is rejected by
+    /// version before any section is read.
+    #[test]
+    fn v3_snapshot_bytes_are_rejected() {
+        const V3_LAYOUT_HASH: u64 = 0x7f60_a7fc_45b4_48af;
+        let mut v3 = SNAPSHOT_MAGIC.to_vec();
+        put_u32(&mut v3, 3);
+        put_u64(&mut v3, V3_LAYOUT_HASH);
+        for _ in 0..4 {
+            put_u64(&mut v3, 0);
+        }
+        let sum = Fnv1a::hash(&v3[SNAPSHOT_MAGIC.len()..]);
+        assert_eq!(sum, 0xf2fa_5a7e_c2fd_dc9a, "the checksum a v3 build writes");
+        put_u64(&mut v3, sum);
+        let err = decode(&v3).unwrap_err();
+        assert!(err.contains("version 3 != supported 4"), "{err}");
+        let cache = EngineCache::new();
+        let dir = std::env::temp_dir().join(format!("tpe-snap-v3-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v3.tpecache");
+        std::fs::write(&path, &v3).unwrap();
+        assert!(load(&cache, &path).is_err());
+        assert!(cache.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -8,6 +8,8 @@
 //! resolve to an `EngineSpec` before anything is priced, so one engine is
 //! priced exactly once per process (see [`crate::cache::EngineCache`]).
 
+use std::fmt;
+
 use tpe_arith::encode::EncodingKind;
 use tpe_arith::Precision;
 use tpe_core::arch::array::ARRAY_OVERHEAD_FRAC;
@@ -278,9 +280,16 @@ impl EngineSpec {
 
     /// Architecture half of the label ("OPT1(TPU)", "OPT3\[EN-T\]").
     pub fn arch_label(&self) -> String {
+        let mut label = String::new();
+        self.write_arch_label(&mut label)
+            .expect("writing to a String cannot fail");
+        label
+    }
+
+    fn write_arch_label(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self.kind {
-            ArchKind::Dense(arch) => format!("{}({})", self.style.name(), classic_name(arch)),
-            ArchKind::Serial => format!("{}[{}]", self.style.name(), self.encoding),
+            ArchKind::Dense(arch) => write!(out, "{}({})", self.style.name(), classic_name(arch)),
+            ArchKind::Serial => write!(out, "{}[{}]", self.style.name(), self.encoding),
         }
     }
 
@@ -305,17 +314,21 @@ impl EngineSpec {
     /// shares one cycle record; the roofline then only adds stalls, and a
     /// finite corner can never report less delay than the unbounded one.
     pub fn seed_label(&self) -> String {
-        let mut label = format!(
-            "{}/{}@{:.2}GHz",
-            self.arch_label(),
-            self.node_name,
-            self.freq_ghz
-        );
-        if !self.precision.is_default() {
-            label.push('@');
-            label.push_str(&self.precision.label());
-        }
+        let mut label = String::new();
+        self.write_seed_label(&mut label)
+            .expect("writing to a String cannot fail");
         label
+    }
+
+    /// Writes [`Self::seed_label`] to `out` piece by piece, so a hasher
+    /// can take the label without a string being built for it.
+    pub fn write_seed_label(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        self.write_arch_label(out)?;
+        write!(out, "/{}@{:.2}GHz", self.node_name, self.freq_ghz)?;
+        if !self.precision.is_default() {
+            write!(out, "@{}", self.precision)?;
+        }
+        Ok(())
     }
 
     /// PE instances at the paper's array sizes (10×10×10 Cube, else 32×32).

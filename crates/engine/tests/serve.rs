@@ -369,6 +369,36 @@ fn out_of_range_layer_shapes_are_rejected() {
     handle.join().unwrap().expect("serve loop");
 }
 
+/// The weight-stationary estimator is a closed form, so a huge but valid
+/// `layer` costs the same as a small one: 2^44 MACs (m = 1, n = k = 2^22;
+/// 2^28 weight tiles under the old per-tile loop) and 2^52 MACs answer
+/// well under a second once the engine is priced.
+#[test]
+fn huge_valid_layers_answer_in_bounded_time() {
+    let cache: &'static EngineCache = &*Box::leak(Box::new(EngineCache::new()));
+    let (addr, handle) = spawn_server_with(cache, pool_config());
+    let warm = r#"{"id":1,"op":"layer","engine":"OPT1(TPU)","m":64,"n":64,"k":64}"#;
+    let reply = query_batch(&addr, &[warm.to_string()]).expect("reply");
+    assert!(reply[0].contains("\"feasible\":true"), "{reply:?}");
+    for log_nk in [22u32, 26] {
+        let line = format!(
+            r#"{{"id":2,"op":"layer","engine":"OPT1(TPU)","m":1,"n":{0},"k":{0}}}"#,
+            1u64 << log_nk
+        );
+        let started = std::time::Instant::now();
+        let reply = query_batch(&addr, &[line]).expect("reply").pop().unwrap();
+        let took = started.elapsed();
+        assert!(reply.contains("\"feasible\":true"), "{reply}");
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "2^{} MACs took {took:?}",
+            2 * log_nk
+        );
+    }
+    shutdown(&addr);
+    handle.join().unwrap().expect("serve loop");
+}
+
 /// Satellite: a shutdown in the middle of a batch answers the remaining
 /// lines with `server draining` errors (ids echoed) instead of leaving
 /// them unanswered, then the server comes down cleanly.

@@ -121,18 +121,19 @@ impl DenseArray for OsSystolicArray {
         (out, stats)
     }
 
+    /// Closed form of the per-tile sum (the loop survives as the test
+    /// oracle): every (m, n) output tile takes `k + mm + nn − 1` cycles to
+    /// stream and `nn` to drain, so over all tiles the `mm` terms sum to
+    /// `n_tiles·m`, the `nn` terms to `2·m_tiles·n`, and the rest to
+    /// `m_tiles·n_tiles·(k − 1)`.
     fn estimate_cycles(&self, m: usize, n: usize, k: usize) -> u64 {
-        let mut cycles = 0u64;
-        let m_tiles = m.div_ceil(self.mp);
-        let n_tiles = n.div_ceil(self.np);
-        for mt in 0..m_tiles {
-            let mm = (m - mt * self.mp).min(self.mp);
-            for nt in 0..n_tiles {
-                let nn = (n - nt * self.np).min(self.np);
-                cycles += (k + mm + nn - 1 + nn) as u64;
-            }
-        }
-        cycles
+        let [m, n, k] = [m, n, k].map(|d| d as u64);
+        let m_tiles = m.div_ceil(self.mp as u64);
+        let n_tiles = n.div_ceil(self.np as u64);
+        let tiles = m_tiles * n_tiles;
+        // `tiles·(k − 1)` written so that `k = 0` cannot underflow: each
+        // tile takes at least two cycles.
+        tiles * k + n_tiles * m + 2 * m_tiles * n - tiles
     }
 }
 
@@ -169,6 +170,42 @@ mod tests {
             let b = uniform_int8_matrix(k, n, (n + k) as u64);
             let (_, stats) = arr.simulate(&a, &b);
             assert_eq!(stats.cycles, arr.estimate_cycles(m, n, k), "{m}x{n}x{k}");
+        }
+    }
+
+    /// The per-tile loop the closed form replaces.
+    fn estimate_cycles_loop(arr: &OsSystolicArray, m: usize, n: usize, k: usize) -> u64 {
+        let mut cycles = 0u64;
+        let m_tiles = m.div_ceil(arr.mp);
+        let n_tiles = n.div_ceil(arr.np);
+        for mt in 0..m_tiles {
+            let mm = (m - mt * arr.mp).min(arr.mp);
+            for nt in 0..n_tiles {
+                let nn = (n - nt * arr.np).min(arr.np);
+                cycles += (k + mm + nn - 1 + nn) as u64;
+            }
+        }
+        cycles
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The closed form equals the per-tile loop on random shapes and
+        /// array sizes, ragged tiles and empty dimensions included.
+        #[test]
+        fn closed_form_matches_the_tile_loop(
+            mp in 1usize..40,
+            np in 1usize..40,
+            m in 0usize..300,
+            n in 0usize..300,
+            k in 0usize..300,
+        ) {
+            let arr = OsSystolicArray::new(mp, np);
+            proptest::prop_assert_eq!(
+                arr.estimate_cycles(m, n, k),
+                estimate_cycles_loop(&arr, m, n, k)
+            );
         }
     }
 

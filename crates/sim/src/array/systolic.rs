@@ -119,18 +119,19 @@ impl DenseArray for SystolicArray {
         (out, stats)
     }
 
+    /// Closed form of the per-tile sum (the loop survives as the test
+    /// oracle): every (k, n) tile pays a `kk`-cycle load plus an
+    /// `m + kk + nn − 1`-cycle sweep, so over all tiles the loads and the
+    /// sweeps' `kk` terms sum to `2·n_tiles·k`, the `nn` terms to
+    /// `k_tiles·n`, and the rest to `k_tiles·n_tiles·(m − 1)`.
     fn estimate_cycles(&self, m: usize, n: usize, k: usize) -> u64 {
-        let k_tiles = k.div_ceil(self.kp);
-        let n_tiles = n.div_ceil(self.np);
-        let mut cycles = 0u64;
-        for kt in 0..k_tiles {
-            let kk = (k - kt * self.kp).min(self.kp);
-            for nt in 0..n_tiles {
-                let nn = (n - nt * self.np).min(self.np);
-                cycles += kk as u64 + (m + kk + nn - 1) as u64;
-            }
-        }
-        cycles
+        let [m, n, k] = [m, n, k].map(|d| d as u64);
+        let k_tiles = k.div_ceil(self.kp as u64);
+        let n_tiles = n.div_ceil(self.np as u64);
+        let tiles = k_tiles * n_tiles;
+        // `tiles·(m − 1)` written so that `m = 0` cannot underflow: each
+        // tile's sweep is at least one cycle.
+        2 * n_tiles * k + tiles * m + k_tiles * n - tiles
     }
 }
 
@@ -140,15 +141,9 @@ impl SystolicArray {
     /// the fair baseline for the paper's §V-D workload comparisons.
     pub fn estimate_cycles_pipelined(&self, m: usize, n: usize, k: usize) -> u64 {
         let base = self.estimate_cycles(m, n, k);
-        // Remove the serialized load cycles (one kk per tile), keeping the
-        // first tile's cold load.
-        let k_tiles = k.div_ceil(self.kp);
-        let n_tiles = n.div_ceil(self.np);
-        let mut loads = 0u64;
-        for kt in 0..k_tiles {
-            let kk = (k - kt * self.kp).min(self.kp) as u64;
-            loads += kk * n_tiles as u64;
-        }
+        // Remove the serialized load cycles (one kk per tile, `n_tiles·k`
+        // in all), keeping the first tile's cold load.
+        let loads = n.div_ceil(self.np) as u64 * k as u64;
         let first = (k.min(self.kp)) as u64;
         base - loads + first
     }
@@ -198,6 +193,58 @@ mod tests {
             let b = uniform_int8_matrix(k, n, (n * k) as u64);
             let (_, stats) = arr.simulate(&a, &b);
             assert_eq!(stats.cycles, arr.estimate_cycles(m, n, k), "{m}x{n}x{k}");
+        }
+    }
+
+    /// The per-tile loops the closed forms replace.
+    fn estimate_cycles_loop(arr: &SystolicArray, m: usize, n: usize, k: usize) -> u64 {
+        let k_tiles = k.div_ceil(arr.kp);
+        let n_tiles = n.div_ceil(arr.np);
+        let mut cycles = 0u64;
+        for kt in 0..k_tiles {
+            let kk = (k - kt * arr.kp).min(arr.kp);
+            for nt in 0..n_tiles {
+                let nn = (n - nt * arr.np).min(arr.np);
+                cycles += kk as u64 + (m + kk + nn - 1) as u64;
+            }
+        }
+        cycles
+    }
+
+    fn pipelined_loads_loop(arr: &SystolicArray, n: usize, k: usize) -> u64 {
+        let k_tiles = k.div_ceil(arr.kp);
+        let n_tiles = n.div_ceil(arr.np);
+        let mut loads = 0u64;
+        for kt in 0..k_tiles {
+            let kk = (k - kt * arr.kp).min(arr.kp) as u64;
+            loads += kk * n_tiles as u64;
+        }
+        loads
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The closed forms equal the per-tile loops on random shapes and
+        /// array sizes, ragged tiles and empty dimensions included.
+        #[test]
+        fn closed_forms_match_the_tile_loops(
+            kp in 1usize..40,
+            np in 1usize..40,
+            m in 0usize..300,
+            n in 0usize..300,
+            k in 0usize..300,
+        ) {
+            let arr = SystolicArray::new(kp, np);
+            let expected = estimate_cycles_loop(&arr, m, n, k);
+            proptest::prop_assert_eq!(arr.estimate_cycles(m, n, k), expected);
+            if k > 0 && n > 0 {
+                let loads = pipelined_loads_loop(&arr, n, k);
+                proptest::prop_assert_eq!(
+                    arr.estimate_cycles_pipelined(m, n, k),
+                    expected - loads + k.min(kp) as u64
+                );
+            }
         }
     }
 

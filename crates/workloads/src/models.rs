@@ -7,6 +7,8 @@
 //! the column-synchronous utilization results, so they are kept faithful;
 //! minor bookkeeping layers (biases, norms) are omitted as the paper does.
 
+use std::sync::Arc;
+
 use crate::img2col::ConvShape;
 use tpe_arith::Precision;
 
@@ -149,12 +151,16 @@ impl std::fmt::Display for ShapeError {
 impl std::error::Error for ShapeError {}
 
 /// A network: an ordered list of GEMM layers.
+///
+/// The layer list is shared: cloning a network (into every design point
+/// of a sweep, every result, every serve request) bumps a reference count
+/// instead of copying its layers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkModel {
     /// Network name as used in Figure 12/13 labels.
     pub name: String,
     /// The layers, in execution order.
-    pub layers: Vec<LayerShape>,
+    pub layers: Arc<[LayerShape]>,
 }
 
 impl NetworkModel {
@@ -222,7 +228,7 @@ pub fn resnet18() -> NetworkModel {
     layers.push(LayerShape::new("fc", 1000, 1, 512, 1));
     NetworkModel {
         name: "ResNet18".into(),
-        layers,
+        layers: layers.into(),
     }
 }
 
@@ -238,7 +244,8 @@ pub fn resnet18_quantized() -> NetworkModel {
     let last = base.layers.len() - 1;
     let layers = base
         .layers
-        .into_iter()
+        .iter()
+        .cloned()
         .enumerate()
         .map(|(i, l)| {
             if i == 0 || i == last {
@@ -247,10 +254,10 @@ pub fn resnet18_quantized() -> NetworkModel {
                 l.with_precision(Precision::W4)
             }
         })
-        .collect();
+        .collect::<Vec<_>>();
     NetworkModel {
         name: "ResNet18-W4".into(),
-        layers,
+        layers: layers.into(),
     }
 }
 
@@ -275,7 +282,7 @@ pub fn resnet50() -> NetworkModel {
     layers.push(LayerShape::new("fc", 1000, 1, 2048, 1));
     NetworkModel {
         name: "ResNet50".into(),
-        layers,
+        layers: layers.into(),
     }
 }
 
@@ -306,7 +313,7 @@ pub fn vgg16() -> NetworkModel {
     layers.push(LayerShape::new("fc3", 1000, 1, 4096, 1));
     NetworkModel {
         name: "VGG16".into(),
-        layers,
+        layers: layers.into(),
     }
 }
 
@@ -339,7 +346,7 @@ pub fn mobilenet_v2() -> NetworkModel {
     layers.push(LayerShape::new("fc", 1000, 1, 1280, 1));
     NetworkModel {
         name: "MobileNetV2".into(),
-        layers,
+        layers: layers.into(),
     }
 }
 
@@ -380,7 +387,7 @@ pub fn mobilenet_v3() -> NetworkModel {
     layers.push(LayerShape::new("fc2", 1000, 1, 1280, 1));
     NetworkModel {
         name: "MobileNetV3".into(),
-        layers,
+        layers: layers.into(),
     }
 }
 
@@ -413,7 +420,7 @@ pub fn efficientnet_b0() -> NetworkModel {
     layers.push(LayerShape::new("fc", 1000, 1, 1280, 1));
     NetworkModel {
         name: "EfficientNet-B0".into(),
-        layers,
+        layers: layers.into(),
     }
 }
 
@@ -440,7 +447,7 @@ pub fn vit_b16() -> NetworkModel {
     layers.push(LayerShape::new("head", 1000, 1, 768, 1));
     NetworkModel {
         name: "ViT".into(),
-        layers,
+        layers: layers.into(),
     }
 }
 
@@ -474,7 +481,7 @@ pub fn mobilevit_s() -> NetworkModel {
     layers.push(LayerShape::new("fc", 1000, 1, 640, 1));
     NetworkModel {
         name: "MobileViT".into(),
-        layers,
+        layers: layers.into(),
     }
 }
 
@@ -489,7 +496,7 @@ pub fn gpt2() -> NetworkModel {
     layers.push(LayerShape::new("lm-head", 1, 50257, 768, 1));
     NetworkModel {
         name: "GPT-2".into(),
-        layers,
+        layers: layers.into(),
     }
 }
 
@@ -516,7 +523,7 @@ pub fn bert_base() -> NetworkModel {
     }
     NetworkModel {
         name: "BERT".into(),
-        layers,
+        layers: layers.into(),
     }
 }
 
