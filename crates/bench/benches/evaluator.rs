@@ -51,6 +51,12 @@ fn scenarios() -> Vec<Scenario> {
     Evaluator::new(&warm).price(&dense_spec());
     cached_serial_cycles(&warm, &serial_spec(), &probe_layer(), 42, caps);
     Evaluator::new(&warm).model_report(&serial_spec(), net, 42);
+    // ViT-B/16 (74 layers) as a whole-network sweep point, the kind that
+    // fills most of the wide analytic sweep.
+    let vit = SweepWorkload::Model(models::vit_b16());
+    Evaluator::new(&warm)
+        .with_cycle_model(CycleModel::Analytic)
+        .metrics(&serial_spec(), &vit, 42);
     let warm: &'static EngineCache = &*Box::leak(Box::new(warm));
 
     let price_cold = |p: Precision| -> Scenario {
@@ -109,6 +115,19 @@ fn scenarios() -> Vec<Scenario> {
             Box::new(|| {
                 let w = SweepWorkload::Layer(probe_layer());
                 let m = Evaluator::new(warm).metrics(&dense_spec(), &w, 42).unwrap();
+                black_box(m.delay_us)
+            }),
+        ),
+        (
+            // A warm whole-network point: one price read and one model-map
+            // read, keyed by the layer list's stored content hash. CI pins
+            // it at ≤ 3× `dense_layer_metrics`.
+            "model_point_warm",
+            Box::new(move || {
+                let m = Evaluator::new(warm)
+                    .with_cycle_model(CycleModel::Analytic)
+                    .metrics(&serial_spec(), &vit, 42)
+                    .unwrap();
                 black_box(m.delay_us)
             }),
         ),

@@ -98,18 +98,15 @@ pub fn models(args: &[String]) -> String {
 
 fn try_models(args: &[String]) -> Result<String, String> {
     let opts = parse_options(args)?;
-    let model_needle = opts.model_filter.to_ascii_lowercase();
     // The catalog: the ten Figure 12/13 networks when unfiltered, with the
     // mixed-precision presets (ResNet18-W4) reachable by name.
-    let pool = if model_needle.is_empty() {
+    let nets: Vec<NetworkModel> = if opts.model_filter.is_empty() {
         NetworkModel::all()
     } else {
-        NetworkModel::catalog()
+        NetworkModel::matching(&opts.model_filter)
+            .cloned()
+            .collect()
     };
-    let nets: Vec<NetworkModel> = pool
-        .into_iter()
-        .filter(|n| model_needle.is_empty() || n.name.to_ascii_lowercase().contains(&model_needle))
-        .collect();
     if nets.is_empty() {
         return Err(format!("no network matches `{}`", opts.model_filter));
     }

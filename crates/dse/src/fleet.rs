@@ -83,15 +83,10 @@ fn parse_stream(token: &str) -> Result<Stream, String> {
             ))
         }
     };
-    let needle = model.to_ascii_lowercase();
-    let catalog = NetworkModel::catalog();
-    let net = match catalog.iter().find(|n| n.name.eq_ignore_ascii_case(model)) {
+    let net = match NetworkModel::find(model) {
         Some(hit) => hit.clone(),
         None => {
-            let matches: Vec<&NetworkModel> = catalog
-                .iter()
-                .filter(|n| n.name.to_ascii_lowercase().contains(&needle))
-                .collect();
+            let matches: Vec<&NetworkModel> = NetworkModel::matching(model).collect();
             match matches.as_slice() {
                 [] => return Err(format!("no network model matches `{model}`")),
                 [one] => (*one).clone(),

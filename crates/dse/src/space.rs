@@ -153,11 +153,8 @@ impl DesignSpace {
     /// keeps the full catalog — the ten models of Figures 12–13 plus the
     /// mixed-precision presets). Errors when nothing matches.
     pub fn with_models(filter: &str) -> Result<Self, String> {
-        let needle = filter.to_ascii_lowercase();
-        let nets: Vec<SweepWorkload> = tpe_workloads::NetworkModel::catalog()
-            .into_iter()
-            .filter(|n| needle.is_empty() || n.name.to_ascii_lowercase().contains(&needle))
-            .map(SweepWorkload::Model)
+        let nets: Vec<SweepWorkload> = tpe_workloads::NetworkModel::matching(filter)
+            .map(|n| SweepWorkload::Model(n.clone()))
             .collect();
         if nets.is_empty() {
             return Err(format!("no network model matches `{filter}`"));
@@ -569,7 +566,7 @@ mod tests {
                 .workloads
                 .iter()
                 .find(|w| w.name() == p.workload.name());
-            std::sync::Arc::ptr_eq(&layers_of(&p.workload), &layers_of(net.unwrap()))
+            tpe_workloads::LayerList::ptr_eq(&layers_of(&p.workload), &layers_of(net.unwrap()))
         };
         let points = space.enumerate_filtered("OPT4E[EN-T]/28nm@2.00");
         assert_eq!(

@@ -291,33 +291,6 @@ impl SerialLayerRecord {
     }
 }
 
-/// FNV-1a content hash over a model's layer list: layer count, then per
-/// layer its name (NUL-terminated so boundaries are unambiguous), GEMM
-/// dims, repeat count and optional precision override. Two models with
-/// the same name but different layer content must never share a
-/// [`ModelKey`].
-fn model_content_hash(net: &NetworkModel) -> u64 {
-    let mut h = crate::Fnv1a::default();
-    h.write_u64(net.layers.len() as u64);
-    for layer in net.layers.iter() {
-        h.write(layer.name.as_bytes());
-        h.write(&[0]);
-        for dim in [layer.m, layer.n, layer.k, layer.repeats] {
-            h.write_u64(dim as u64);
-        }
-        match layer.precision {
-            None => h.write(&[0]),
-            Some(p) => {
-                h.write(&[1]);
-                for bits in [p.a_bits, p.b_bits, p.acc_bits] {
-                    h.write_u64(u64::from(bits));
-                }
-            }
-        }
-    }
-    h.finish()
-}
-
 /// The identity of one whole-model evaluation — everything the model
 /// walk ([`crate::schedule::evaluate_model_with`]) sees: the engine's
 /// full [`PriceKey`] (memory corner included — the roofline changes
@@ -336,7 +309,8 @@ pub struct ModelKey {
     pub engine: PriceKey,
     /// Network name (the identity half of the model axis).
     pub model: String,
-    /// `model_content_hash` over the layer list (the content half).
+    /// The layer list's content hash (the content half), computed once
+    /// when the list was built ([`tpe_workloads::LayerList::content_hash`]).
     pub layers_hash: u64,
     /// The exact cell seed the per-layer seeds are derived from
     /// (0 when analytic).
@@ -357,7 +331,7 @@ impl ModelKey {
         Self {
             engine: PriceKey::of(spec),
             model: net.name.clone(),
-            layers_hash: model_content_hash(net),
+            layers_hash: net.layers.content_hash(),
             seed: if analytic { 0 } else { seed },
             max_rounds: if analytic { 0 } else { caps.max_rounds },
             max_operands: if analytic { 0 } else { caps.max_operands },
@@ -1192,11 +1166,18 @@ mod tests {
         let net = tpe_workloads::models::resnet18();
         let caps = crate::caps::SampleProfile::Model.caps();
         let k = ModelKey::of(&spec, &net, 42, caps);
-        let mut edited = net.clone();
-        std::sync::Arc::make_mut(&mut edited.layers)[0].k += 1;
+        // A layer list has no in-place mutator: an edit builds a new list.
+        let edit = |f: fn(&mut LayerShape)| {
+            let mut layers = net.layers.to_vec();
+            f(&mut layers[0]);
+            NetworkModel {
+                layers: layers.into(),
+                ..net.clone()
+            }
+        };
+        let edited = edit(|l| l.k += 1);
         assert_ne!(k, ModelKey::of(&spec, &edited, 42, caps));
-        let mut requantized = net.clone();
-        std::sync::Arc::make_mut(&mut requantized.layers)[0].precision = Some(Precision::W4);
+        let requantized = edit(|l| l.precision = Some(Precision::W4));
         assert_ne!(k, ModelKey::of(&spec, &requantized, 42, caps));
         assert_ne!(k, ModelKey::of(&spec, &net, 43, caps), "sampled seeds key");
         let analytic = SerialSampleCaps {
@@ -1391,5 +1372,70 @@ mod tests {
             canonical_encoding(EncodingKind::Mbe),
             canonical_encoding(EncodingKind::EnT)
         );
+    }
+
+    /// The per-lookup walk every `ModelKey` used to run: the slow oracle
+    /// for the hash a layer list computes once, when it is built.
+    fn model_content_hash(net: &NetworkModel) -> u64 {
+        let mut h = crate::Fnv1a::default();
+        h.write_u64(net.layers.len() as u64);
+        for layer in net.layers.iter() {
+            h.write(layer.name.as_bytes());
+            h.write(&[0]);
+            for dim in [layer.m, layer.n, layer.k, layer.repeats] {
+                h.write_u64(dim as u64);
+            }
+            match layer.precision {
+                None => h.write(&[0]),
+                Some(p) => {
+                    h.write(&[1]);
+                    for bits in [p.a_bits, p.b_bits, p.acc_bits] {
+                        h.write_u64(u64::from(bits));
+                    }
+                }
+            }
+        }
+        h.finish()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The stored hash equals the streaming walk on random lists:
+        /// empty and non-ASCII names, preset and free-form precision
+        /// overrides, 0 to 80 layers.
+        #[test]
+        fn layer_list_hash_equals_the_walk(
+            shapes in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0usize..8, 0..6),
+                    1usize..1 << 20,
+                    1usize..1 << 20,
+                    1usize..1 << 20,
+                    1usize..4,
+                    0u8..6,
+                    (2u32..17, 2u32..17, 0u32..8),
+                ),
+                0..81,
+            ),
+        ) {
+            const CHARS: [char; 8] = ['a', 'Z', '0', '-', 'é', 'λ', '日', '🙂'];
+            let layers: Vec<LayerShape> = shapes
+                .iter()
+                .map(|(name, m, n, k, r, p, (a, b, extra))| {
+                    let name: String = name.iter().map(|&c| CHARS[c]).collect();
+                    let l = LayerShape::new(name, *m, *n, *k, *r);
+                    match p {
+                        1 => l.with_precision(Precision::W4),
+                        2 => l.with_precision(Precision::W8),
+                        3 => l.with_precision(Precision::W16),
+                        4 => l.with_precision(Precision::new(*a, *b, a + b + extra)),
+                        _ => l,
+                    }
+                })
+                .collect();
+            let net = NetworkModel { name: "prop".into(), layers: layers.into() };
+            proptest::prop_assert_eq!(net.layers.content_hash(), model_content_hash(&net));
+        }
     }
 }

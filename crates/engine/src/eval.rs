@@ -278,12 +278,14 @@ impl<'c> Evaluator<'c> {
         let price = self.price(spec)?;
 
         let freq = spec.freq_ghz;
-        let point_seed = point_seed(seed, spec, workload.name());
+        // Dense layer points never sample, so only the other two arms
+        // derive a seed.
         let (cycles, busy_frac, model_rec) = match (workload, spec.kind) {
             (SweepWorkload::Model(net), kind) => {
                 // One model-map lookup. The pooled serial busy fraction
                 // reproduces `serial_model_cycles` bit for bit; dense
                 // arrays clock every PE every cycle, useful or not.
+                let point_seed = self.sample_seed(seed, spec, &net.name);
                 let rec = self.model_record(spec, &price, net, point_seed);
                 let busy_frac = match kind {
                     ArchKind::Dense(_) => 1.0,
@@ -305,6 +307,7 @@ impl<'c> Evaluator<'c> {
                     model: self.cycle_model,
                     ..SampleProfile::Sweep.caps_for(spec.precision)
                 };
+                let point_seed = self.sample_seed(seed, spec, &layer.name);
                 let rec = cached_serial_cycles(self.cache, spec, layer, point_seed, caps);
                 (rec.cycles, rec.utilization(), None)
             }
@@ -413,7 +416,7 @@ impl<'c> Evaluator<'c> {
         net: &NetworkModel,
         seed: u64,
     ) -> Option<ModelReport> {
-        let cell_seed = point_seed(seed, spec, &net.name);
+        let cell_seed = self.sample_seed(seed, spec, &net.name);
         let caps = self.model_caps(spec);
         let key = ModelKey::of(spec, net, cell_seed, caps);
         let report = self.cache.model_report(key.clone(), || {
@@ -444,7 +447,19 @@ impl<'c> Evaluator<'c> {
         seed: u64,
     ) -> Option<ModelRecord> {
         let price = self.price(spec)?;
-        Some(self.model_record(spec, &price, net, point_seed(seed, spec, &net.name)))
+        let cell_seed = self.sample_seed(seed, spec, &net.name);
+        Some(self.model_record(spec, &price, net, cell_seed))
+    }
+
+    /// The seed a serial-layer or whole-model evaluation of `workload` on
+    /// `spec` draws from: [`point_seed`] under the sampled cycle model,
+    /// and 0 under the analytic one, whose cache keys zero the seed and
+    /// whose closed forms never read it.
+    fn sample_seed(&self, seed: u64, spec: &EngineSpec, workload: &str) -> u64 {
+        match self.cycle_model {
+            CycleModel::Sampled => point_seed(seed, spec, workload),
+            CycleModel::Analytic => 0,
+        }
     }
 
     /// The sampling caps of every whole-model evaluation: the
@@ -527,6 +542,35 @@ mod tests {
             }
             assert!((0.0..=1.0).contains(&m.utilization));
         }
+    }
+
+    /// The analytic cycle model never reads the point seed: serial-layer
+    /// and whole-model answers are bit-equal across seeds, each from its
+    /// own cold cache, while the sampled model still follows the seed.
+    #[test]
+    fn analytic_metrics_are_bit_equal_across_seeds() {
+        let spec = EngineSpec::serial(PeStyle::Opt4E, EncodingKind::EnT, 2.0);
+        let net = models::resnet18_quantized();
+        let model = SweepWorkload::Model(net.clone());
+        let answers = |cycle_model: CycleModel, seed: u64| {
+            let cache = EngineCache::new();
+            let eval = Evaluator::new(&cache).with_cycle_model(cycle_model);
+            let layer = eval.metrics(&spec, &layer_workload(), seed).unwrap();
+            let model = eval.metrics(&spec, &model, seed).unwrap();
+            let report = eval.model_report(&spec, &net, seed).unwrap();
+            // `Debug` prints every f64 in its shortest round-trip form, so
+            // equal strings mean equal bits.
+            format!("{layer:?}\n{model:?}\n{:?}", report.totals)
+        };
+        let base = answers(CycleModel::Analytic, 0);
+        for seed in [1, 42] {
+            assert_eq!(answers(CycleModel::Analytic, seed), base, "seed {seed}");
+        }
+        assert_ne!(
+            answers(CycleModel::Sampled, 1),
+            answers(CycleModel::Sampled, 42),
+            "sampled answers follow the seed"
+        );
     }
 
     #[test]

@@ -535,7 +535,11 @@ pub(crate) fn assemble_model_rows(
             let mut seen: HashMap<CycleKey, SerialLayerRecord> = HashMap::new();
             for (i, layer) in net.layers.iter().enumerate() {
                 let lcaps = caps_for_layer(spec, layer, caps);
-                let lseed = layer_seed(seed, i, layer);
+                // The analytic key zeroes the seed: skip deriving it.
+                let lseed = match lcaps.model {
+                    CycleModel::Sampled => layer_seed(seed, i, layer),
+                    CycleModel::Analytic => 0,
+                };
                 let key = CycleKey::of(spec, layer, lseed, lcaps);
                 let rec = match seen.get(&key) {
                     Some(rec) => *rec,

@@ -663,9 +663,7 @@ fn respond(
             let spec = resolve_engine(fields)?;
             let model_name = fields.str("model")?;
             let seed = fields.uint_or("seed", DEFAULT_SEED)?;
-            let net = NetworkModel::catalog()
-                .into_iter()
-                .find(|n| n.name.eq_ignore_ascii_case(model_name))
+            let net = NetworkModel::find(model_name)
                 .ok_or_else(|| format!("unknown model `{model_name}`"))?;
             let head = format!(
                 "\"op\":\"model\",\"engine\":\"{}\",\"model\":\"{}\",\"seed\":{seed}{cycle_tag}",
@@ -674,7 +672,7 @@ fn respond(
             );
             // Only the totals are rendered: the model map answers, and no
             // per-layer row is built or kept.
-            let body = match eval.model_totals(&spec, &net, seed) {
+            let body = match eval.model_totals(&spec, net, seed) {
                 Some(r) => {
                     let mut body = format!(
                         "{head},\
@@ -1723,6 +1721,31 @@ mod tests {
         match parse_flat_object(resp).unwrap().get(field) {
             Some(JsonValue::Num(v)) => *v as u64,
             other => panic!("{field} = {other:?} in {resp}"),
+        }
+    }
+
+    /// The `model` op resolves its network from the shared catalog by
+    /// reference; its reply bytes and its unknown-model error are pinned.
+    #[test]
+    fn model_replies_are_pinned() {
+        let cache = EngineCache::new();
+        for (req, pinned) in [
+            (
+                r#"{"id":4,"op":"model","engine":"OPT4E[EN-T]/28nm@2.00GHz","model":"resnet18-w4","seed":9,"cycle_model":"analytic"}"#,
+                r#"{"id":4,"ok":true,"op":"model","engine":"OPT4E[EN-T]/28nm@2.00GHz","model":"ResNet18-W4","seed":9,"cycle_model":"analytic","feasible":true,"layers":18,"macs":1794805760,"cycles":817127,"delay_us":408.5635,"energy_uj":187.151984,"gops":8785.934,"peak_tops":7.0177,"utilization":0.96039,"power_w":0.45807,"tops_per_w":19.1802,"area_um2":475646.050}"#,
+            ),
+            (
+                r#"{"id":5,"op":"model","engine":"OPT1(Ascend)","model":"MobileNetV2","memory":"edge"}"#,
+                r#"{"id":5,"ok":true,"op":"model","engine":"OPT1(Ascend)/28nm@1.50GHz@edge","model":"MobileNetV2","seed":42,"feasible":true,"layers":53,"macs":266453888,"cycles":5297867,"delay_us":3531.9113,"energy_uj":156.453155,"gops":150.884,"peak_tops":3.0000,"utilization":0.05029,"power_w":0.04430,"tops_per_w":3.4062,"area_um2":350998.570,"bytes_moved":57112408,"intensity_ops_per_byte":9.3309,"bound":"dram"}"#,
+            ),
+            (
+                r#"{"id":6,"op":"model","engine":"OPT4E[EN-T]","model":"LeNet"}"#,
+                r#"{"id":6,"ok":false,"error":"unknown model `LeNet`"}"#,
+            ),
+        ] {
+            let (reply, down) = handle_line(req, &cache);
+            assert!(!down);
+            assert_eq!(reply, pinned, "{req}");
         }
     }
 

@@ -17,10 +17,12 @@
 //! This crate supplies both, deterministically (every generator is seeded).
 
 pub mod distributions;
+pub mod hash;
 pub mod img2col;
 pub mod matrix;
 pub mod models;
 pub mod sparsity;
 
+pub use hash::{fnv1a, Fnv1a};
 pub use matrix::Matrix;
-pub use models::{LayerShape, NetworkModel, ShapeError, MAX_LAYER_MACS};
+pub use models::{LayerList, LayerShape, NetworkModel, ShapeError, MAX_LAYER_MACS};

@@ -7,8 +7,9 @@
 //! the column-synchronous utilization results, so they are kept faithful;
 //! minor bookkeeping layers (biases, norms) are omitted as the paper does.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use crate::hash::Fnv1a;
 use crate::img2col::ConvShape;
 use tpe_arith::Precision;
 
@@ -150,27 +151,100 @@ impl std::fmt::Display for ShapeError {
 
 impl std::error::Error for ShapeError {}
 
+/// A network's layers, in execution order: an immutable, shared list
+/// that carries its own content hash.
+///
+/// Cloning bumps a reference count instead of copying layers, and the
+/// FNV-1a content hash (the content half of every whole-model cache key)
+/// is computed once, when the list is built, instead of on every lookup.
+/// There is no in-place mutator, so the hash cannot go stale: to edit a
+/// network, build a new list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LayerList {
+    layers: Arc<[LayerShape]>,
+    hash: u64,
+}
+
+impl LayerList {
+    /// The FNV-1a content hash over the whole list: layer count, then per
+    /// layer its name (NUL-terminated so boundaries are unambiguous), GEMM
+    /// dims, repeat count and optional precision override. Two lists with
+    /// different content hash apart (up to 64-bit collisions).
+    pub fn content_hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// Whether two lists share one allocation (a clone of the same list).
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.layers, &b.layers)
+    }
+}
+
+/// The content hash's byte stream, fed layer by layer.
+fn content_hash(layers: &[LayerShape]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write_u64(layers.len() as u64);
+    for layer in layers {
+        h.write(layer.name.as_bytes());
+        h.write(&[0]);
+        for dim in [layer.m, layer.n, layer.k, layer.repeats] {
+            h.write_u64(dim as u64);
+        }
+        match layer.precision {
+            None => h.write(&[0]),
+            Some(p) => {
+                h.write(&[1]);
+                for bits in [p.a_bits, p.b_bits, p.acc_bits] {
+                    h.write_u64(u64::from(bits));
+                }
+            }
+        }
+    }
+    h.finish()
+}
+
+impl From<Vec<LayerShape>> for LayerList {
+    fn from(layers: Vec<LayerShape>) -> Self {
+        let hash = content_hash(&layers);
+        Self {
+            layers: layers.into(),
+            hash,
+        }
+    }
+}
+
+impl FromIterator<LayerShape> for LayerList {
+    fn from_iter<I: IntoIterator<Item = LayerShape>>(iter: I) -> Self {
+        iter.into_iter().collect::<Vec<_>>().into()
+    }
+}
+
+impl std::ops::Deref for LayerList {
+    type Target = [LayerShape];
+
+    fn deref(&self) -> &[LayerShape] {
+        &self.layers
+    }
+}
+
 /// A network: an ordered list of GEMM layers.
 ///
 /// The layer list is shared: cloning a network (into every design point
 /// of a sweep, every result, every serve request) bumps a reference count
-/// instead of copying its layers.
+/// instead of copying its layers or rehashing them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkModel {
     /// Network name as used in Figure 12/13 labels.
     pub name: String,
     /// The layers, in execution order.
-    pub layers: Arc<[LayerShape]>,
+    pub layers: LayerList,
 }
 
-impl NetworkModel {
-    /// Total MACs over the whole network.
-    pub fn total_macs(&self) -> u64 {
-        self.layers.iter().map(LayerShape::macs).sum()
-    }
-
-    /// All networks of the Figure 12/13 sweep, in display order.
-    pub fn all() -> Vec<NetworkModel> {
+/// The process's one catalog: [`NetworkModel::all`] followed by the
+/// mixed-precision presets, built (and content-hashed) on first use.
+fn shared_catalog() -> &'static [NetworkModel] {
+    static CATALOG: OnceLock<Vec<NetworkModel>> = OnceLock::new();
+    CATALOG.get_or_init(|| {
         vec![
             resnet18(),
             resnet50(),
@@ -182,18 +256,51 @@ impl NetworkModel {
             vit_b16(),
             gpt2(),
             bert_base(),
+            resnet18_quantized(),
         ]
+    })
+}
+
+/// How many leading [`shared_catalog`] entries form the paper's sweep.
+const PAPER_NETWORKS: usize = 10;
+
+impl NetworkModel {
+    /// Total MACs over the whole network.
+    pub fn total_macs(&self) -> u64 {
+        self.layers.iter().map(LayerShape::macs).sum()
+    }
+
+    /// All networks of the Figure 12/13 sweep, in display order. Clones
+    /// of the shared catalog entries: they share its layer lists.
+    pub fn all() -> Vec<NetworkModel> {
+        shared_catalog()[..PAPER_NETWORKS].to_vec()
     }
 
     /// The full lookup catalog: the Figure 12/13 sweep plus the
     /// mixed-precision presets ([`resnet18_quantized`]). Name-based
     /// resolution (`repro models --model`, `repro dse --model`, the serve
     /// `model` op) searches this; [`Self::all`] stays the paper's
-    /// ten-network default grid.
+    /// ten-network default grid. The catalog is built once per process;
+    /// every call returns clones that share its layer lists.
     pub fn catalog() -> Vec<NetworkModel> {
-        let mut nets = Self::all();
-        nets.push(resnet18_quantized());
-        nets
+        shared_catalog().to_vec()
+    }
+
+    /// The catalog network named `name` (case-insensitive), by reference.
+    pub fn find(name: &str) -> Option<&'static NetworkModel> {
+        shared_catalog()
+            .iter()
+            .find(|n| n.name.eq_ignore_ascii_case(name))
+    }
+
+    /// The catalog networks whose name contains `needle`
+    /// (case-insensitive; an empty needle matches every network), in
+    /// catalog order.
+    pub fn matching(needle: &str) -> impl Iterator<Item = &'static NetworkModel> {
+        let needle = needle.to_ascii_lowercase();
+        shared_catalog()
+            .iter()
+            .filter(move |n| n.name.to_ascii_lowercase().contains(&needle))
     }
 }
 
@@ -254,10 +361,10 @@ pub fn resnet18_quantized() -> NetworkModel {
                 l.with_precision(Precision::W4)
             }
         })
-        .collect::<Vec<_>>();
+        .collect();
     NetworkModel {
         name: "ResNet18-W4".into(),
-        layers: layers.into(),
+        layers,
     }
 }
 
@@ -556,6 +663,49 @@ mod tests {
         assert!(NetworkModel::catalog()
             .iter()
             .any(|n| n.name == "ResNet18-W4"));
+    }
+
+    /// The catalog is built once: every call hands out clones that share
+    /// each network's layer list, and `find` resolves by reference.
+    #[test]
+    fn catalog_is_built_once_and_shared() {
+        let (a, b) = (NetworkModel::catalog(), NetworkModel::catalog());
+        assert_eq!(a.len(), 11);
+        for (x, y) in a.iter().zip(&b) {
+            assert!(LayerList::ptr_eq(&x.layers, &y.layers), "{}", x.name);
+        }
+        for (x, y) in NetworkModel::all().iter().zip(&a) {
+            assert!(LayerList::ptr_eq(&x.layers, &y.layers), "{}", x.name);
+        }
+        let q = NetworkModel::find("resnet18-w4").expect("case-insensitive");
+        assert_eq!(q.name, "ResNet18-W4");
+        assert!(LayerList::ptr_eq(&q.layers, &a[10].layers));
+        assert_eq!(q, &resnet18_quantized());
+        assert!(NetworkModel::find("resnet").is_none(), "exact names only");
+        let names: Vec<&str> = NetworkModel::matching("RESNET18")
+            .map(|n| n.name.as_str())
+            .collect();
+        assert_eq!(names, ["ResNet18", "ResNet18-W4"]);
+        assert_eq!(NetworkModel::matching("").count(), 11);
+    }
+
+    /// The stored hash follows content, never the allocation: equal lists
+    /// built apart hash equal, and any edit (which builds a new list)
+    /// rehashes.
+    #[test]
+    fn layer_lists_hash_content() {
+        let (a, b) = (resnet18(), resnet18());
+        assert!(!LayerList::ptr_eq(&a.layers, &b.layers));
+        assert_eq!(a.layers, b.layers);
+        assert_eq!(a.layers.content_hash(), b.layers.content_hash());
+        let mut edited = a.layers.to_vec();
+        edited[3].repeats += 1;
+        let edited = LayerList::from(edited);
+        assert_ne!(edited.content_hash(), a.layers.content_hash());
+        assert_ne!(edited, a.layers);
+        let empty = LayerList::from(Vec::new());
+        assert_eq!(empty.content_hash(), Fnv1a::hash(&0u64.to_le_bytes()));
+        assert!(empty.is_empty());
     }
 
     #[test]
