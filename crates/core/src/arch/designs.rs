@@ -27,6 +27,7 @@ use tpe_arith::Precision;
 use tpe_cost::anchors;
 use tpe_cost::components::Component;
 use tpe_cost::synthesis::PeDesign;
+use tpe_sim::BitsliceConfig;
 
 /// The digit-recoder hardware a serial datapath carries for `encoding`,
 /// at the default INT8 multiplicand width.
@@ -88,6 +89,16 @@ impl PeStyle {
             PeStyle::Opt3 => "OPT3",
             PeStyle::Opt4C => "OPT4C",
             PeStyle::Opt4E => "OPT4E",
+        }
+    }
+
+    /// The bit-slice array geometry of a serial style (`None` if dense).
+    pub fn bitslice_config(self) -> Option<BitsliceConfig> {
+        match self {
+            PeStyle::Opt3 => Some(BitsliceConfig::opt3()),
+            PeStyle::Opt4C => Some(BitsliceConfig::opt4c()),
+            PeStyle::Opt4E => Some(BitsliceConfig::opt4e()),
+            _ => None,
         }
     }
 

@@ -70,12 +70,9 @@ impl ArchModel {
     ///
     /// Panics if called on a dense architecture.
     pub fn bitslice_config(&self) -> BitsliceConfig {
-        match self.style {
-            PeStyle::Opt3 => BitsliceConfig::opt3(),
-            PeStyle::Opt4C => BitsliceConfig::opt4c(),
-            PeStyle::Opt4E => BitsliceConfig::opt4e(),
-            _ => panic!("{} is not a serial architecture", self.name),
-        }
+        self.style
+            .bitslice_config()
+            .unwrap_or_else(|| panic!("{} is not a serial architecture", self.name))
     }
 
     /// All sixteen Table VII configurations (8 baseline + 8 "ours").

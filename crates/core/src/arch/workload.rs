@@ -19,8 +19,7 @@
 //! is [`tpe_sim::BitsliceArray`], validated separately.
 
 use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::{OnceLock, RwLock};
+use std::sync::{Arc, Mutex};
 
 use super::designs::PeStyle;
 use super::{ArchKind, ArchModel};
@@ -115,57 +114,30 @@ impl Default for SerialSampleCaps {
 }
 
 /// Digit-count statistics of one (encoder, width): the Gaussian-weighted
-/// histogram and the table-driven sampler built from its CDF.
+/// histogram, its normalized pmf and moments, and the table-driven
+/// sampler built from its CDF.
 #[derive(Debug)]
 struct DigitStats {
     /// Unnormalized `P(NumPPs = j)` weights, `j` in `0..=a_bits`.
     probs: Vec<f64>,
     /// Sum of `probs`.
     total: f64,
+    /// Normalized pmf `probs / total` — the analytic path's per-operand
+    /// digit-count distribution.
+    pmf: Vec<f64>,
+    /// Mean and variance of `pmf` ([`pmf_moments`]).
+    moments: (f64, f64),
     /// Inverse-CDF sampler over `probs / total`.
     sampler: DigitSampler,
 }
 
-/// Gaussian-weighted digit-count statistics of `encoder` on max-abs-
-/// quantized N(0, 1) data at `a_bits` operand width: unnormalized
-/// `P(NumPPs = j)` weights plus their total (index range `0..=a_bits` —
-/// radix-2 bit-serial produces one digit per bit, the worst case), and
-/// the [`DigitSampler`] over them. The single source of truth for the
-/// sampler, the effective-NumPPs statistic and the analytic pmf.
-///
-/// The histogram is a pure function of (encoder, width) but costs a full
-/// range enumeration (2^16 encodes at W16), so it is [`memoized`]
-/// process-wide on the encoder's stable name. Computing under the write
-/// lock is what bounds the leak: the memo holds exactly one table per
-/// (encoder, width), leaked to give `'static` borrows.
-fn digit_stats(encoder: &dyn Encoder, a_bits: u32) -> &'static DigitStats {
-    static MEMO: Memo<(&'static str, u32), &'static DigitStats> = OnceLock::new();
-    memoized(&MEMO, (encoder.name(), a_bits), || {
-        Box::leak(Box::new(DigitStats::of(encoder, a_bits)))
-    })
-}
-
-/// A process-wide memo of a pure function (see [`memoized`]).
-type Memo<K, V> = OnceLock<RwLock<HashMap<K, V>>>;
-
-/// The value of a pure function at `key`, from a process-wide memo: a
-/// shared-lock read, and on a miss `compute` under the write lock, so
-/// concurrent first uses of one key wait for a single computation instead
-/// of each running their own. Memoization can never change values, only
-/// skip recomputation.
-fn memoized<K: Eq + Hash, V: Copy>(memo: &Memo<K, V>, key: K, compute: impl FnOnce() -> V) -> V {
-    let memo = memo.get_or_init(Default::default);
-    if let Some(&hit) = memo.read().expect("memo poisoned").get(&key) {
-        return hit;
-    }
-    *memo
-        .write()
-        .expect("memo poisoned")
-        .entry(key)
-        .or_insert_with(compute)
-}
-
 impl DigitStats {
+    /// Gaussian-weighted digit-count statistics of `encoder` on max-abs-
+    /// quantized N(0, 1) data at `a_bits` operand width (index range
+    /// `0..=a_bits` — radix-2 bit-serial produces one digit per bit, the
+    /// worst case). The single source of truth for the sampler, the
+    /// effective-NumPPs statistic and the analytic pmf; it costs a full
+    /// range enumeration (2^16 encodes at W16).
     fn of(encoder: &dyn Encoder, a_bits: u32) -> Self {
         let max = (1i64 << (a_bits - 1)) - 1;
         // The INT8 pipeline's effective scale: 127 / (max|z| ≈ 4.2σ) = 30,
@@ -180,22 +152,66 @@ impl DigitStats {
             probs[n] += w;
             total += w;
         }
-        let sampler = DigitSampler::from_cdf(&cdf_of(&probs, total));
+        let pmf: Vec<f64> = probs.iter().map(|w| w / total).collect();
+        let moments = pmf_moments(&pmf);
+        let sampler = DigitSampler::from_cdf(&cdf_of(&pmf));
         Self {
             probs,
             total,
+            pmf,
+            moments,
             sampler,
         }
     }
 }
 
-/// Cumulative table of a weight histogram: running sums of `w / total`,
-/// with the last entry pinned to exactly 1.0 so every uniform draw lands.
-fn cdf_of(probs: &[f64], total: f64) -> Vec<f64> {
-    let mut cdf = vec![0f64; probs.len()];
+/// The serial-cycle model's derived constants, each computed on first use
+/// under its table's lock: digit-count statistics per (encoder name,
+/// width), the normal-max constant per column count, and exact-convolution
+/// round maxima per (encoder, width, 32..=[`CONV_CROSSOVER_OPERANDS`]
+/// operands per round, column count). Every key domain is finite, and the
+/// values are pure functions of their keys, so a fresh instance recomputes
+/// them bit-identically.
+#[derive(Debug, Default)]
+pub struct SerialTables {
+    digits: Table<(&'static str, u32), Arc<DigitStats>>,
+    /// [`std_normal_max_mean`] per column count.
+    normal_max: Table<usize, f64>,
+    /// `E[round max]` of the exact-convolution branch of
+    /// [`analytic_serial_cycles`] — the one part of the analytic path whose
+    /// cost is worth skipping. The point-mass and CLT branches are a few
+    /// flops over the stored moments, so they store nothing.
+    exact_rounds: Table<(&'static str, u32, usize, usize), f64>,
+}
+
+/// One of [`SerialTables`]' maps.
+type Table<K, V> = Mutex<HashMap<K, V>>;
+
+impl SerialTables {
+    /// Whether no table has been filled yet (every fill starts by
+    /// reading a digit table).
+    pub fn is_empty(&self) -> bool {
+        self.digits.lock().expect("tables poisoned").is_empty()
+    }
+
+    /// The [`DigitStats`] of (`encoder`, `a_bits`).
+    fn digit_stats(&self, encoder: &dyn Encoder, a_bits: u32) -> Arc<DigitStats> {
+        let mut digits = self.digits.lock().expect("tables poisoned");
+        Arc::clone(
+            digits
+                .entry((encoder.name(), a_bits))
+                .or_insert_with(|| Arc::new(DigitStats::of(encoder, a_bits))),
+        )
+    }
+}
+
+/// Cumulative table of a pmf: its running sums, with the last entry
+/// pinned to exactly 1.0 so every uniform draw lands.
+fn cdf_of(pmf: &[f64]) -> Vec<f64> {
+    let mut cdf = vec![0f64; pmf.len()];
     let mut acc = 0.0;
-    for (i, p) in probs.iter().enumerate() {
-        acc += p / total;
+    for (i, p) in pmf.iter().enumerate() {
+        acc += p;
         cdf[i] = acc;
     }
     *cdf.last_mut().expect("non-empty cdf") = 1.0;
@@ -259,14 +275,14 @@ impl DigitSampler {
 /// — the divisor in a serial design's peak-throughput accounting (Table
 /// III's effective NumPPs, generalized to any encoder).
 pub fn effective_numpps(encoder: &dyn Encoder) -> f64 {
-    effective_numpps_at(encoder, 8)
+    effective_numpps_at(&SerialTables::default(), encoder, 8)
 }
 
 /// [`effective_numpps`] at an arbitrary operand width: the precision
 /// axis's serial cost law (digit slots scale with `a_bits`, so expected
 /// digits — and serial cycles/MAC — grow roughly linearly with width).
-pub fn effective_numpps_at(encoder: &dyn Encoder, a_bits: u32) -> f64 {
-    let stats = digit_stats(encoder, a_bits);
+pub fn effective_numpps_at(tables: &SerialTables, encoder: &dyn Encoder, a_bits: u32) -> f64 {
+    let stats = tables.digit_stats(encoder, a_bits);
     stats
         .probs
         .iter()
@@ -309,6 +325,7 @@ pub fn serial_layer(arch: &ArchModel, layer: &LayerShape, seed: u64) -> LayerRes
     let encoder = cfg.encoding.encoder();
 
     let stats = sample_serial_cycles(
+        &SerialTables::default(),
         &cfg,
         encoder.as_ref(),
         8,
@@ -375,6 +392,7 @@ impl SerialCycleStats {
 /// wider operands (more digit slots at near-constant digit sparsity) cost
 /// proportionally more cycles while the array geometry stays fixed.
 pub fn sample_serial_cycles(
+    tables: &SerialTables,
     cfg: &BitsliceConfig,
     encoder: &dyn Encoder,
     a_bits: u32,
@@ -382,7 +400,7 @@ pub fn sample_serial_cycles(
     seed: u64,
     caps: SerialSampleCaps,
 ) -> SerialCycleStats {
-    let stats = digit_stats(encoder, a_bits);
+    let stats = tables.digit_stats(encoder, a_bits);
     sample_serial_cycles_with(cfg, layer, seed, caps, |rng| {
         stats.sampler.draw(rng.next_u64())
     })
@@ -439,13 +457,6 @@ fn sample_serial_cycles_with(
     }
 }
 
-/// Normalized per-operand digit-count pmf (`P(NumPPs = j)`, `j` in
-/// `0..=a_bits`), derived from the memoized weight histogram.
-fn digit_count_pmf(encoder: &dyn Encoder, a_bits: u32) -> Vec<f64> {
-    let stats = digit_stats(encoder, a_bits);
-    stats.probs.iter().map(|w| w / stats.total).collect()
-}
-
 /// Mean and variance of a small non-negative integer pmf indexed by value.
 fn pmf_moments(pmf: &[f64]) -> (f64, f64) {
     let mean: f64 = pmf.iter().enumerate().map(|(v, p)| v as f64 * p).sum();
@@ -496,69 +507,35 @@ fn expected_max_of_iid(pmf: &[f64], mp: usize) -> f64 {
 
 /// `E[max of mp i.i.d. standard normals]`, by trapezoidal integration of
 /// `∫ z · mp · φ(z) · Φ(z)^{mp−1} dz` over `z ∈ [−8, 8]`, accumulating
-/// `Φ` incrementally (std has no `erf`). [`memoized`] per `mp`: the
-/// constant depends only on the column count, not on encoder, width, or
-/// layer.
+/// `Φ` incrementally (std has no `erf`). The constant depends only on the
+/// column count, not on encoder, width, or layer; [`SerialTables`] keeps
+/// it per `mp`.
 fn std_normal_max_mean(mp: usize) -> f64 {
-    static MEMO: Memo<usize, f64> = OnceLock::new();
     if mp <= 1 {
         return 0.0;
     }
-    memoized(&MEMO, mp, || {
-        const Z: f64 = 8.0;
-        const STEPS: usize = 4_000;
-        let h = 2.0 * Z / STEPS as f64;
-        let phi = |z: f64| (-0.5 * z * z).exp() / (2.0 * std::f64::consts::PI).sqrt();
-        let m = mp as f64;
-        let mut z = -Z;
-        let mut pdf = phi(z);
-        let mut cdf = 0.0; // Φ(−8) ≈ 6e−16: below the integration error
-        let mut integrand = 0.0; // z·m·φ(z)·Φ^{m−1}, zero at the left edge
-        let mut acc = 0.0;
-        for _ in 0..STEPS {
-            let z2 = z + h;
-            let pdf2 = phi(z2);
-            let cdf2 = (cdf + 0.5 * h * (pdf + pdf2)).min(1.0);
-            let integrand2 = z2 * m * pdf2 * cdf2.powi(mp as i32 - 1);
-            acc += 0.5 * h * (integrand + integrand2);
-            z = z2;
-            pdf = pdf2;
-            cdf = cdf2;
-            integrand = integrand2;
-        }
-        acc
-    })
-}
-
-/// `(per-operand mean, E[round max])` for one sync round: the expected
-/// max over `mp` columns of the sum of `ops_per_round` i.i.d. digit
-/// counts. A pure function of its arguments — the layer only enters
-/// through `ops_per_round` — so it is [`memoized`] process-wide: a model
-/// grid revisits the same handful of `(encoder, width, ops, mp)` keys
-/// across every layer and engine, and the exact-convolution branch is
-/// the only part of the analytic path whose cost is worth skipping.
-fn expected_round_stats(
-    encoder: &dyn Encoder,
-    a_bits: u32,
-    ops_per_round: usize,
-    mp: usize,
-) -> (f64, f64) {
-    static MEMO: Memo<(&'static str, u32, usize, usize), (f64, f64)> = OnceLock::new();
-    memoized(&MEMO, (encoder.name(), a_bits, ops_per_round, mp), || {
-        let pmf = digit_count_pmf(encoder, a_bits);
-        let (mean, var) = pmf_moments(&pmf);
-        let n = ops_per_round as f64;
-        let round_max = if var <= 0.0 {
-            // Point mass: every column finishes in exactly n·mean.
-            n * mean
-        } else if ops_per_round <= CONV_CROSSOVER_OPERANDS {
-            let sum_pmf = convolve_digit_sum(&pmf, ops_per_round);
-            expected_max_of_iid(&sum_pmf, mp)
-        } else {
-            n * mean + (n * var).sqrt() * std_normal_max_mean(mp)
-        };
-        (mean, round_max)
-    })
+    const Z: f64 = 8.0;
+    const STEPS: usize = 4_000;
+    let h = 2.0 * Z / STEPS as f64;
+    let phi = |z: f64| (-0.5 * z * z).exp() / (2.0 * std::f64::consts::PI).sqrt();
+    let m = mp as f64;
+    let mut z = -Z;
+    let mut pdf = phi(z);
+    let mut cdf = 0.0; // Φ(−8) ≈ 6e−16: below the integration error
+    let mut integrand = 0.0; // z·m·φ(z)·Φ^{m−1}, zero at the left edge
+    let mut acc = 0.0;
+    for _ in 0..STEPS {
+        let z2 = z + h;
+        let pdf2 = phi(z2);
+        let cdf2 = (cdf + 0.5 * h * (pdf + pdf2)).min(1.0);
+        let integrand2 = z2 * m * pdf2 * cdf2.powi(mp as i32 - 1);
+        acc += 0.5 * h * (integrand + integrand2);
+        z = z2;
+        pdf = pdf2;
+        cdf = cdf2;
+        integrand = integrand2;
+    }
+    acc
 }
 
 /// Closed-form counterpart of [`sample_serial_cycles`]: the same layer
@@ -579,6 +556,7 @@ fn expected_round_stats(
 /// subsampling. Busy time per column is `n·μ` per round — every column
 /// sums the same number of operand draws in expectation.
 pub fn analytic_serial_cycles(
+    tables: &SerialTables,
     cfg: &BitsliceConfig,
     encoder: &dyn Encoder,
     a_bits: u32,
@@ -593,8 +571,28 @@ pub fn analytic_serial_cycles(
     let rounds = rows_total.div_ceil(cfg.mp * rows_per_round).max(1);
     let ops_per_round = rows_per_round * layer.k;
 
-    let (mean, round_max) = expected_round_stats(encoder, a_bits, ops_per_round, cfg.mp);
+    // The expected max over `mp` columns of the sum of `ops_per_round`
+    // i.i.d. digit counts: the layer only enters through `ops_per_round`.
+    let stats = tables.digit_stats(encoder, a_bits);
+    let (mean, var) = stats.moments;
     let n = ops_per_round as f64;
+    let round_max = if var <= 0.0 {
+        // Point mass: every column finishes in exactly n·mean.
+        n * mean
+    } else if ops_per_round <= CONV_CROSSOVER_OPERANDS {
+        let mut exact = tables.exact_rounds.lock().expect("tables poisoned");
+        *exact
+            .entry((encoder.name(), a_bits, ops_per_round, cfg.mp))
+            .or_insert_with(|| {
+                expected_max_of_iid(&convolve_digit_sum(&stats.pmf, ops_per_round), cfg.mp)
+            })
+    } else {
+        let mut normal_max = tables.normal_max.lock().expect("tables poisoned");
+        let c = *normal_max
+            .entry(cfg.mp)
+            .or_insert_with(|| std_normal_max_mean(cfg.mp));
+        n * mean + (n * var).sqrt() * c
+    };
 
     let scale = rounds as f64 * passes;
     let busy_per_column = n * mean * scale;
@@ -609,6 +607,7 @@ pub fn analytic_serial_cycles(
 /// `caps.model`: the Monte-Carlo oracle or the closed-form path. This is
 /// the single dispatch point the engine's cached evaluation goes through.
 pub fn serial_cycle_stats(
+    tables: &SerialTables,
     cfg: &BitsliceConfig,
     encoder: &dyn Encoder,
     a_bits: u32,
@@ -617,8 +616,10 @@ pub fn serial_cycle_stats(
     caps: SerialSampleCaps,
 ) -> SerialCycleStats {
     match caps.model {
-        CycleModel::Sampled => sample_serial_cycles(cfg, encoder, a_bits, layer, seed, caps),
-        CycleModel::Analytic => analytic_serial_cycles(cfg, encoder, a_bits, layer),
+        CycleModel::Sampled => {
+            sample_serial_cycles(tables, cfg, encoder, a_bits, layer, seed, caps)
+        }
+        CycleModel::Analytic => analytic_serial_cycles(tables, cfg, encoder, a_bits, layer),
     }
 }
 
@@ -671,7 +672,7 @@ pub fn equal_area_lane_scale(target: &ArchModel) -> f64 {
 /// prefetcher (0 cycles).
 pub fn cycles_per_mac_with_zeros(arch: &ArchModel, zero_frac: f64, seed: u64) -> f64 {
     let cfg = arch.bitslice_config();
-    let stats = digit_stats(cfg.encoding.encoder().as_ref(), 8);
+    let stats = DigitStats::of(cfg.encoding.encoder().as_ref(), 8);
     zero_skip_cycles_per_mac_with(zero_frac, seed, |rng| stats.sampler.draw(rng.next_u64()))
 }
 
@@ -745,8 +746,8 @@ mod tests {
 
     /// Test encoder with a *deterministic* digit count: every operand
     /// produces exactly `D` non-zero digits. Each `D` needs a distinct
-    /// static name because [`digit_stats`] memoizes on
-    /// `encoder.name()` process-wide.
+    /// name because [`SerialTables`] keys its digit tables on
+    /// `encoder.name()`, and one test may run both through one instance.
     struct ConstDigits<const D: usize>;
 
     impl<const D: usize> Encoder for ConstDigits<D> {
@@ -846,14 +847,15 @@ mod tests {
             LayerShape::new("tiny-k", 96, 32, 9, 2),
             LayerShape::new("skinny", 1, 128, 768, 1),
         ];
+        let tables = SerialTables::default();
         for layer in &shapes {
             for (enc, a_bits) in [
                 (&ConstDigits::<1> as &dyn Encoder, 4u32),
                 (&ConstDigits::<8> as &dyn Encoder, 8u32),
             ] {
-                let a = analytic_serial_cycles(&cfg, enc, a_bits, layer);
-                let s =
-                    sample_serial_cycles(&cfg, enc, a_bits, layer, 99, SerialSampleCaps::default());
+                let a = analytic_serial_cycles(&tables, &cfg, enc, a_bits, layer);
+                let caps = SerialSampleCaps::default();
+                let s = sample_serial_cycles(&tables, &cfg, enc, a_bits, layer, 99, caps);
                 assert_eq!(a.cycles, s.cycles, "{}: cycles differ", layer.name);
                 assert_eq!(a.rounds, s.rounds, "{}: rounds differ", layer.name);
                 assert_eq!(
@@ -871,11 +873,12 @@ mod tests {
     /// and two columns (`mp = 1` is the plain mean).
     #[test]
     fn convolution_and_max_identities_at_the_boundaries() {
-        let pmf = digit_count_pmf(tpe_arith::encode::EncodingKind::EnT.encoder().as_ref(), 8);
-        assert_eq!(convolve_digit_sum(&pmf, 1), pmf);
+        let stats = SerialTables::default().digit_stats(EncodingKind::EnT.encoder().as_ref(), 8);
+        let pmf = &stats.pmf;
+        assert_eq!(&convolve_digit_sum(pmf, 1), pmf);
 
-        let (mean, _) = pmf_moments(&pmf);
-        assert!((expected_max_of_iid(&pmf, 1) - mean).abs() < 1e-12);
+        let (mean, _) = stats.moments;
+        assert!((expected_max_of_iid(pmf, 1) - mean).abs() < 1e-12);
 
         // mp = 2 against O(d²) brute force over the joint distribution.
         let brute: f64 = pmf
@@ -887,7 +890,7 @@ mod tests {
                     .map(move |(j, &q)| i.max(j) as f64 * p * q)
             })
             .sum();
-        assert!((expected_max_of_iid(&pmf, 2) - brute).abs() < 1e-12);
+        assert!((expected_max_of_iid(pmf, 2) - brute).abs() < 1e-12);
     }
 
     /// The CLT constant: `E[max of 2 standard normals] = 1/√π` exactly;
@@ -917,12 +920,48 @@ mod tests {
             model: CycleModel::Analytic,
             ..SerialSampleCaps::default()
         };
-        let a = serial_cycle_stats(&cfg, enc.as_ref(), 8, &layer, 1, caps);
-        let b = serial_cycle_stats(&cfg, enc.as_ref(), 8, &layer, 2, caps);
+        let tables = SerialTables::default();
+        let a = serial_cycle_stats(&tables, &cfg, enc.as_ref(), 8, &layer, 1, caps);
+        let b = serial_cycle_stats(&tables, &cfg, enc.as_ref(), 8, &layer, 2, caps);
         assert_eq!(a, b, "analytic stats must not depend on the seed");
-        assert_eq!(a, analytic_serial_cycles(&cfg, enc.as_ref(), 8, &layer));
+        assert_eq!(
+            a,
+            analytic_serial_cycles(&tables, &cfg, enc.as_ref(), 8, &layer)
+        );
+        // The tables hold derived constants: a fresh instance agrees.
+        let fresh = SerialTables::default();
+        assert_eq!(
+            a,
+            analytic_serial_cycles(&fresh, &cfg, enc.as_ref(), 8, &layer)
+        );
         let u = a.utilization();
         assert!(u > 0.0 && u <= 1.0, "utilization {u}");
+    }
+
+    /// Only the exact-convolution branch stores round results, and its keys
+    /// are bounded by the crossover: 200 layers with distinct reductions
+    /// above it add nothing to the tables after the first (which fills the
+    /// CLT constant), so a client sending ever-new `k` cannot grow them.
+    #[test]
+    fn round_tables_stay_bounded_over_distinct_wide_reductions() {
+        let cfg = opt4e().bitslice_config();
+        let enc = cfg.encoding.encoder();
+        let tables = SerialTables::default();
+        let sizes = |t: &SerialTables| {
+            [
+                t.digits.lock().unwrap().len(),
+                t.normal_max.lock().unwrap().len(),
+                t.exact_rounds.lock().unwrap().len(),
+            ]
+        };
+        let wide = |k| LayerShape::new("wide", 64, 256, k, 1);
+        analytic_serial_cycles(&tables, &cfg, enc.as_ref(), 8, &wide(65));
+        let after_first = sizes(&tables);
+        assert_eq!(after_first, [1, 1, 0]);
+        for k in 66..265 {
+            analytic_serial_cycles(&tables, &cfg, enc.as_ref(), 8, &wide(k));
+        }
+        assert_eq!(sizes(&tables), after_first);
     }
 
     /// Mode labels round-trip through `parse` case-insensitively and
@@ -949,9 +988,8 @@ mod tests {
         n as u64
     }
 
-    fn oracle_cdf(encoder: &dyn Encoder, a_bits: u32) -> Vec<f64> {
-        let stats = digit_stats(encoder, a_bits);
-        cdf_of(&stats.probs, stats.total)
+    fn oracle_cdf(stats: &DigitStats) -> Vec<f64> {
+        cdf_of(&stats.pmf)
     }
 
     /// An RNG that yields one fixed word, so the oracle converts a chosen
@@ -966,16 +1004,28 @@ mod tests {
 
     const WIDTHS: [u32; 3] = [4, 8, 16];
 
-    fn assert_word_matches_oracle(encoder: &dyn Encoder, a_bits: u32, word: u64) {
-        let cdf = oracle_cdf(encoder, a_bits);
-        let expected = oracle_walk(&cdf, Word(word).random::<f64>());
-        let got = digit_stats(encoder, a_bits).sampler.draw(word);
-        assert_eq!(
-            got,
-            expected,
-            "{} at W{a_bits}: word {word:#x}",
-            encoder.name()
-        );
+    /// The digit table of every encoder × width, with its label and
+    /// oracle CDF: a test fixture built once per test binary, because the
+    /// fifteen range enumerations take a quarter second in a debug build
+    /// and the random-word proptest checks all of them in every case.
+    fn every_digit_table() -> &'static [(String, DigitStats, Vec<f64>)] {
+        static FIXTURE: std::sync::OnceLock<Vec<(String, DigitStats, Vec<f64>)>> =
+            std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let mut out = Vec::new();
+            for kind in EncodingKind::ALL {
+                for a_bits in WIDTHS {
+                    let stats = DigitStats::of(kind.encoder().as_ref(), a_bits);
+                    let cdf = oracle_cdf(&stats);
+                    out.push((
+                        format!("{} at W{a_bits}", kind.encoder().name()),
+                        stats,
+                        cdf,
+                    ));
+                }
+            }
+            out
+        })
     }
 
     /// Checks `DigitSampler::from_cdf(cdf)` against the float walk on
@@ -1007,11 +1057,8 @@ mod tests {
     /// adversarial words.
     #[test]
     fn digit_sampler_matches_the_oracle_at_thresholds_and_bucket_edges() {
-        for kind in EncodingKind::ALL {
-            let encoder = kind.encoder();
-            for a_bits in WIDTHS {
-                assert_sampler_matches_walk_at_edges(&oracle_cdf(encoder.as_ref(), a_bits));
-            }
+        for (_, _, cdf) in every_digit_table() {
+            assert_sampler_matches_walk_at_edges(cdf);
         }
     }
 
@@ -1041,11 +1088,10 @@ mod tests {
         fn digit_sampler_matches_the_oracle_on_random_words(
             words in proptest::prelude::prop::collection::vec(0u64..=u64::MAX, 1..256),
         ) {
-            for kind in EncodingKind::ALL {
-                for a_bits in WIDTHS {
-                    for &word in &words {
-                        assert_word_matches_oracle(kind.encoder().as_ref(), a_bits, word);
-                    }
+            for (label, stats, cdf) in every_digit_table() {
+                for &word in &words {
+                    let expected = oracle_walk(cdf, Word(word).random::<f64>());
+                    assert_eq!(stats.sampler.draw(word), expected, "{label}: word {word:#x}");
                 }
             }
         }
@@ -1066,7 +1112,9 @@ mod tests {
             let kind = EncodingKind::ALL[enc_idx];
             let encoder = kind.encoder();
             let a_bits = WIDTHS[width_idx];
-            let cdf = oracle_cdf(encoder.as_ref(), a_bits);
+            let tables = SerialTables::default();
+            let stats = tables.digit_stats(encoder.as_ref(), a_bits);
+            let cdf = oracle_cdf(&stats);
             let oracle = |rng: &mut StdRng| oracle_walk(&cdf, rng.random());
             let cfg = opt4e().bitslice_config();
             let layer = LayerShape::new("probe", m, n, k, 1);
@@ -1076,11 +1124,11 @@ mod tests {
                 model: CycleModel::Sampled,
             };
             proptest::prelude::prop_assert_eq!(
-                sample_serial_cycles(&cfg, encoder.as_ref(), a_bits, &layer, seed, caps),
+                sample_serial_cycles(&tables, &cfg, encoder.as_ref(), a_bits, &layer, seed, caps),
                 sample_serial_cycles_with(&cfg, &layer, seed, caps, oracle)
             );
             let zero_frac = f64::from(zero_pct) / 100.0;
-            let sampler = &digit_stats(encoder.as_ref(), a_bits).sampler;
+            let sampler = &stats.sampler;
             let fast = zero_skip_cycles_per_mac_with(zero_frac, seed, |rng| {
                 sampler.draw(rng.next_u64())
             });
@@ -1096,7 +1144,10 @@ mod tests {
     #[test]
     fn zero_skip_entry_point_matches_the_oracle() {
         let arch = opt4e();
-        let cdf = oracle_cdf(arch.bitslice_config().encoding.encoder().as_ref(), 8);
+        let cdf = oracle_cdf(&DigitStats::of(
+            arch.bitslice_config().encoding.encoder().as_ref(),
+            8,
+        ));
         for zero_frac in [0.0, 0.5] {
             let oracle =
                 zero_skip_cycles_per_mac_with(zero_frac, 42, |rng| oracle_walk(&cdf, rng.random()));

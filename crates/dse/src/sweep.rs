@@ -336,6 +336,32 @@ mod tests {
         .is_err());
     }
 
+    /// The serial-cycle tables belong to the cache, not the process: after
+    /// a sweep fills one cache's tables a fresh cache has none, and a sweep
+    /// over it — paying the same price and cycle misses, table builds
+    /// included — returns bit-identical results under both cycle models.
+    /// One thread, so no two workers race on a cold key and the miss
+    /// counts are exact.
+    #[test]
+    fn fresh_caches_start_with_empty_serial_tables() {
+        let points = DesignSpace::quick().enumerate();
+        for cycle_model in [CycleModel::Analytic, CycleModel::Sampled] {
+            let config = SweepConfig {
+                threads: 1,
+                seed: 5,
+                cycle_model,
+            };
+            let first_cache = EngineCache::new();
+            let first = sweep_with_cache(&points, config, &first_cache);
+            assert!(!first_cache.serial_tables().is_empty());
+            let fresh = EngineCache::new();
+            assert!(fresh.serial_tables().is_empty(), "{cycle_model:?}");
+            let second = sweep_with_cache(&points, config, &fresh);
+            assert_eq!(first.results, second.results, "{cycle_model:?}");
+            assert_eq!(first.cache, second.cache, "{cycle_model:?}");
+        }
+    }
+
     /// A global-cache sweep reports only its own counter deltas, and its
     /// results match an isolated-cache sweep byte for byte (memoization
     /// can never change values).

@@ -56,6 +56,7 @@ use std::sync::{Mutex, OnceLock, RwLock};
 
 use tpe_arith::encode::EncodingKind;
 use tpe_arith::Precision;
+use tpe_core::arch::workload::SerialTables;
 use tpe_core::arch::{ArchKind, PeStyle};
 use tpe_sim::array::ClassicArch;
 use tpe_workloads::{LayerShape, NetworkModel};
@@ -725,6 +726,9 @@ pub struct EngineCache {
     /// Whole reports, rows included; `None` = the engine cannot close
     /// timing.
     reports: Memo<ModelKey, Option<ModelReport>>,
+    /// The serial-cycle model's tables: derived constants, not request
+    /// records, so never evicted, counted or snapshotted.
+    tables: SerialTables,
     /// Counter levels at the last [`Self::window_delta`] call — the
     /// observation window the serve `stats` op reports per-window rates
     /// over.
@@ -759,6 +763,7 @@ impl EngineCache {
             cycles: Memo::new(shard_capacity),
             models: Memo::new(shard_capacity),
             reports: Memo::new(shard_capacity),
+            tables: SerialTables::default(),
             last_window: Mutex::new(CacheStats::default()),
         }
     }
@@ -774,6 +779,12 @@ impl EngineCache {
     pub fn global() -> &'static EngineCache {
         static GLOBAL: OnceLock<EngineCache> = OnceLock::new();
         GLOBAL.get_or_init(EngineCache::new)
+    }
+
+    /// The serial-cycle tables this cache's misses compute through (empty
+    /// on a new cache, so cold timings include building them).
+    pub fn serial_tables(&self) -> &SerialTables {
+        &self.tables
     }
 
     /// Returns the pricing record for `key`, running `price` on a miss.

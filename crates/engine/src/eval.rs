@@ -253,6 +253,7 @@ impl<'c> Evaluator<'c> {
                 spec,
                 &record,
                 self.support_area_um2(spec),
+                self.cache.serial_tables(),
             ))
         })
     }
@@ -313,7 +314,11 @@ impl<'c> Evaluator<'c> {
             }
         };
 
-        let macs = workload.macs() as f64;
+        // A model record carries its network's MAC total: reading it keeps
+        // a warm model point from re-walking the layer list.
+        let macs = model_rec
+            .as_ref()
+            .map_or_else(|| workload.macs(), |rec| rec.total_macs) as f64;
 
         // The memory side: model records carry their roofline aggregates
         // (every layer row already bounded); a bare layer computes its
@@ -894,6 +899,24 @@ mod tests {
                 spec.label()
             );
             assert_eq!(delta.cycle_lookups, 0, "{}", spec.label());
+        }
+    }
+
+    /// A model point reads its MAC total from the model record instead of
+    /// re-walking the network, so every record must carry its network's
+    /// total: checked over the catalog × the Table VII roster (analytic,
+    /// which keeps the walks cheap; the total does not depend on cycles).
+    #[test]
+    fn model_records_carry_their_networks_mac_totals() {
+        let cache = EngineCache::new();
+        let eval = Evaluator::new(&cache).with_cycle_model(CycleModel::Analytic);
+        for net in NetworkModel::catalog() {
+            for spec in EngineSpec::paper_roster() {
+                let rec = eval
+                    .model_totals(&spec, &net, 0)
+                    .expect("roster engines close timing");
+                assert_eq!(rec.total_macs, net.total_macs(), "{}", spec.label());
+            }
         }
     }
 

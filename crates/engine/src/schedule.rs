@@ -13,9 +13,10 @@
 //! * **Serial** — the layer maps multiplicand rows across the MP columns
 //!   and cycles are sampled from the shared encoder-parameterized
 //!   [`sample_serial_cycles`] model (Eq. 7's `sync` barrier: the slowest
-//!   column bounds each round), memoized in the process-wide
-//!   [`EngineCache`] on the exact (geometry, encoding, shape, seed, caps)
-//!   key. Utilization is the sampled busy fraction.
+//!   column bounds each round), memoized in the [`EngineCache`] on the
+//!   exact (geometry, encoding, shape, seed, caps) key and computed
+//!   through that cache's serial-cycle tables. Utilization is the
+//!   sampled busy fraction.
 //!
 //! Per-layer RNG seeds are derived from [`fnv1a`](crate::fnv1a()) over the
 //! layer's index and name, so whole-model results never depend on
@@ -27,7 +28,7 @@
 use std::collections::HashMap;
 use std::fmt::Write;
 
-use tpe_core::arch::workload::{analytic_serial_cycles, sample_serial_cycles, SerialCycleStats};
+use tpe_core::arch::workload::{serial_cycle_stats, SerialCycleStats};
 use tpe_core::arch::ArchKind;
 use tpe_sim::array::ClassicArch;
 use tpe_sim::BitsliceConfig;
@@ -247,22 +248,31 @@ pub fn cached_serial_cycles(
 ) -> SerialLayerRecord {
     let caps = caps_for_layer(spec, layer, caps);
     let key = CycleKey::of(spec, layer, seed, caps);
-    cache.serial_record(key, || {
-        let cfg = serial_config(spec);
-        let encoder = spec.encoding.encoder();
-        let a_bits = layer_a_bits(spec, layer);
-        let stats = match caps.model {
-            CycleModel::Sampled => {
-                let _span = crate::eval::eval_obs().serial_sample_ns.span();
-                sample_serial_cycles(&cfg, encoder.as_ref(), a_bits, layer, seed, caps)
-            }
-            CycleModel::Analytic => {
-                let _span = crate::eval::eval_obs().serial_analytic_ns.span();
-                analytic_serial_cycles(&cfg, encoder.as_ref(), a_bits, layer)
-            }
-        };
-        record_of(&stats)
-    })
+    cache.serial_record(key, || serial_record_miss(cache, spec, layer, seed, caps))
+}
+
+/// A cycle-map miss: the serial-cycle backend `caps.model` selects, run
+/// through `cache`'s tables at the layer's effective width and timed
+/// under `eval_serial_sample_ns` or `eval_serial_analytic_ns`. `caps` are
+/// the layer's corrected caps.
+fn serial_record_miss(
+    cache: &EngineCache,
+    spec: &EngineSpec,
+    layer: &LayerShape,
+    seed: u64,
+    caps: SerialSampleCaps,
+) -> SerialLayerRecord {
+    let (cfg, encoder) = (serial_config(spec), spec.encoding.encoder());
+    let a_bits = layer_a_bits(spec, layer);
+    let obs = crate::eval::eval_obs();
+    let span = match caps.model {
+        CycleModel::Sampled => obs.serial_sample_ns.span(),
+        CycleModel::Analytic => obs.serial_analytic_ns.span(),
+    };
+    let tables = cache.serial_tables();
+    let stats = serial_cycle_stats(tables, &cfg, encoder.as_ref(), a_bits, layer, seed, caps);
+    drop(span);
+    record_of(&stats)
 }
 
 /// Collapses per-column stats into the memoized record (bit-identically
@@ -336,7 +346,10 @@ pub fn schedule_layer(
 ///
 /// Panics if the engine is dense.
 pub fn serial_config(engine: &EngineSpec) -> BitsliceConfig {
-    let mut cfg = engine.arch_model().bitslice_config();
+    let mut cfg = engine
+        .style
+        .bitslice_config()
+        .unwrap_or_else(|| panic!("{} is not a serial engine", engine.label()));
     cfg.encoding = engine.encoding;
     cfg
 }
@@ -487,9 +500,8 @@ pub fn evaluate_model_with(
 /// rows, restructured for speed but bit-identical to the rows of
 /// [`evaluate_model_with`]:
 ///
-/// * **Hoisting** — the dense simulator (`at_paper_config`), the serial
-///   [`BitsliceConfig`] and the encoder are built once per walk instead
-///   of once per layer.
+/// * **Hoisting** — the dense simulator (`at_paper_config`) is built
+///   once per walk instead of once per layer.
 /// * **Shape dedup** — layers are grouped by their full cycle identity
 ///   (the [`CycleKey`] for serial engines — shape, effective `a_bits`,
 ///   corrected caps *and* per-layer seed — or `(m, n, k, repeats)` for
@@ -530,8 +542,6 @@ pub(crate) fn assemble_model_rows(
             }
         }
         ArchKind::Serial => {
-            let cfg = serial_config(spec);
-            let encoder = spec.encoding.encoder();
             let mut seen: HashMap<CycleKey, SerialLayerRecord> = HashMap::new();
             for (i, layer) in net.layers.iter().enumerate() {
                 let lcaps = caps_for_layer(spec, layer, caps);
@@ -545,25 +555,7 @@ pub(crate) fn assemble_model_rows(
                     Some(rec) => *rec,
                     None => {
                         let rec = cache.serial_record(key, || {
-                            let a_bits = layer_a_bits(spec, layer);
-                            let stats = match lcaps.model {
-                                CycleModel::Sampled => {
-                                    let _span = crate::eval::eval_obs().serial_sample_ns.span();
-                                    sample_serial_cycles(
-                                        &cfg,
-                                        encoder.as_ref(),
-                                        a_bits,
-                                        layer,
-                                        lseed,
-                                        lcaps,
-                                    )
-                                }
-                                CycleModel::Analytic => {
-                                    let _span = crate::eval::eval_obs().serial_analytic_ns.span();
-                                    analytic_serial_cycles(&cfg, encoder.as_ref(), a_bits, layer)
-                                }
-                            };
-                            record_of(&stats)
+                            serial_record_miss(cache, spec, layer, lseed, lcaps)
                         });
                         seen.insert(key, rec);
                         rec
@@ -598,6 +590,7 @@ mod tests {
     use super::*;
     use crate::fnv1a;
     use tpe_arith::encode::EncodingKind;
+    use tpe_core::arch::workload::{sample_serial_cycles, SerialTables};
     use tpe_core::arch::PeStyle;
     use tpe_workloads::img2col::ConvShape;
     use tpe_workloads::models;
@@ -1072,7 +1065,8 @@ mod tests {
 
         let cfg = serial_config(&engine);
         let encoder = engine.encoding.encoder();
-        let stats = sample_serial_cycles(&cfg, encoder.as_ref(), 8, &layer, 11, caps);
+        let tables = SerialTables::default();
+        let stats = sample_serial_cycles(&tables, &cfg, encoder.as_ref(), 8, &layer, 11, caps);
         assert_eq!(rec.cycles.to_bits(), stats.cycles.to_bits());
         assert_eq!(
             rec.busy_sum.to_bits(),

@@ -13,7 +13,7 @@ use std::fmt;
 use tpe_arith::encode::EncodingKind;
 use tpe_arith::Precision;
 use tpe_core::arch::array::ARRAY_OVERHEAD_FRAC;
-use tpe_core::arch::workload::effective_numpps_at;
+use tpe_core::arch::workload::{effective_numpps_at, SerialTables};
 use tpe_core::arch::{ArchKind, ArchModel, PeStyle};
 use tpe_cost::process::ProcessNode;
 use tpe_sim::array::ClassicArch;
@@ -393,7 +393,12 @@ impl EnginePrice {
     /// This is the single place PE-level synthesis becomes array-level
     /// cost: support-logic area, the 2% interconnect overhead and the
     /// peak-throughput accounting live here and nowhere else.
-    pub fn from_record(spec: &EngineSpec, record: &PeRecord, support_um2: f64) -> Self {
+    pub fn from_record(
+        spec: &EngineSpec,
+        record: &PeRecord,
+        support_um2: f64,
+        tables: &SerialTables,
+    ) -> Self {
         let instances = spec.pe_instances() as f64;
         let area_um2 = (record.area_um2 * instances + support_um2) * (1.0 + ARRAY_OVERHEAD_FRAC);
         let lanes_total = instances * f64::from(record.lanes);
@@ -405,8 +410,8 @@ impl EnginePrice {
             // the engine's multiplicand width — the precision axis's
             // linear serial cost law.
             ArchKind::Serial => {
-                raw_tops
-                    / effective_numpps_at(spec.encoding.encoder().as_ref(), spec.precision.a_bits)
+                let encoder = spec.encoding.encoder();
+                raw_tops / effective_numpps_at(tables, encoder.as_ref(), spec.precision.a_bits)
             }
         };
         Self {

@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use tpe_arith::encode::EncodingKind;
 use tpe_arith::Precision;
-use tpe_core::arch::workload::{analytic_serial_cycles, sample_serial_cycles};
+use tpe_core::arch::workload::{analytic_serial_cycles, sample_serial_cycles, SerialTables};
 use tpe_engine::caps::SampleProfile;
 use tpe_sim::BitsliceConfig;
 use tpe_workloads::LayerShape;
@@ -54,14 +54,15 @@ fn check_ladder(
     layer: &LayerShape,
 ) -> Result<(), String> {
     let encoder = kind.encoder();
-    let analytic = analytic_serial_cycles(cfg, encoder.as_ref(), a_bits, layer);
+    let tables = SerialTables::default();
+    let analytic = analytic_serial_cycles(&tables, cfg, encoder.as_ref(), a_bits, layer);
     for (profile, tol, seeds) in LADDER {
         let caps = profile.caps();
         let mut cycles = 0.0;
         let mut busy = 0.0;
         for seed in 0..seeds {
-            let s =
-                sample_serial_cycles(cfg, encoder.as_ref(), a_bits, layer, 0xC0FFEE + seed, caps);
+            let seed = 0xC0FFEE + seed;
+            let s = sample_serial_cycles(&tables, cfg, encoder.as_ref(), a_bits, layer, seed, caps);
             // The mapping arithmetic (rounds × passes) must be identical,
             // not just close — both paths derive it without sampling.
             if s.rounds != analytic.rounds {
@@ -140,15 +141,17 @@ fn every_encoder_and_precision_clears_the_model_rung() {
         LayerShape::new("tile", 64, 64, 256, 1),
     ];
     let mut failures = Vec::new();
+    let tables = SerialTables::default();
     for kind in EncodingKind::ALL {
         for precision in PRECISIONS {
             for layer in &shapes {
                 let encoder = kind.encoder();
+                let a_bits = precision.a_bits;
                 let analytic =
-                    analytic_serial_cycles(&cfg, encoder.as_ref(), precision.a_bits, layer);
+                    analytic_serial_cycles(&tables, &cfg, encoder.as_ref(), a_bits, layer);
                 let caps = SampleProfile::Model.caps();
                 let sampled =
-                    sample_serial_cycles(&cfg, encoder.as_ref(), precision.a_bits, layer, 7, caps);
+                    sample_serial_cycles(&tables, &cfg, encoder.as_ref(), a_bits, layer, 7, caps);
                 assert_eq!(analytic.rounds, sampled.rounds, "{kind:?} {layer:?}");
                 let err = rel_err(analytic.cycles, sampled.cycles);
                 if err > 0.10 {
