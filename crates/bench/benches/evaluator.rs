@@ -42,6 +42,7 @@ type Scenario = (&'static str, Box<dyn FnMut() -> f64>);
 fn scenarios() -> Vec<Scenario> {
     let caps = SampleProfile::Sweep.caps();
     let net: &'static NetworkModel = &*Box::leak(Box::new(models::resnet18()));
+    let mobilenet: &'static NetworkModel = &*Box::leak(Box::new(models::mobilenet_v3()));
     let warm = EngineCache::new();
     // Warm the shared cache once so the `_cached` scenarios measure pure
     // lookup + assembly (per precision: W4/W8/W16 are distinct keys).
@@ -157,6 +158,22 @@ fn scenarios() -> Vec<Scenario> {
                     .model_report(&serial_spec(), net, 42)
                     .unwrap();
                 black_box(r.totals.delay_us)
+            }),
+        ),
+        (
+            // A whole MobileNetV3 record from an empty cache at the edge
+            // corner under the analytic cycle model, no rows kept:
+            // synthesis + the model walk folded straight into the record —
+            // the model-map miss a cold wide sweep pays per network.
+            "model_record_cold",
+            Box::new(move || {
+                let cache = EngineCache::new();
+                let spec = serial_spec().with_memory(tpe_engine::MemorySpec::edge());
+                let rec = Evaluator::new(&cache)
+                    .with_cycle_model(CycleModel::Analytic)
+                    .model_totals(&spec, mobilenet, 42)
+                    .unwrap();
+                black_box(rec.delay_us)
             }),
         ),
         (

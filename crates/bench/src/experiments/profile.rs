@@ -33,9 +33,9 @@ use tpe_workloads::models;
 
 /// The evaluator stages profiled, as registered in `tpe-engine::eval`
 /// (name in the registry = `eval_<stage>_ns`). `model_assemble` is the
-/// dedup'd whole-model walk behind the model map's miss path;
-/// `traffic` is the roofline's per-layer byte accounting (recorded on
-/// model-record assembly and on every bare-layer metrics call).
+/// whole-model walk behind the model map's miss path, timed as a whole
+/// (its per-layer traffic included); `traffic` is the roofline's byte
+/// accounting of bare-layer metrics calls only.
 const STAGES: [&str; 6] = [
     "synthesis",
     "price_assemble",

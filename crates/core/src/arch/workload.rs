@@ -19,7 +19,8 @@
 //! is [`tpe_sim::BitsliceArray`], validated separately.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use super::designs::PeStyle;
 use super::{ArchKind, ArchModel};
@@ -166,7 +167,7 @@ impl DigitStats {
 }
 
 /// The serial-cycle model's derived constants, each computed on first use
-/// under its table's lock: digit-count statistics per (encoder name,
+/// in its own build slot: digit-count statistics per (encoder name,
 /// width), the normal-max constant per column count, and exact-convolution
 /// round maxima per (encoder, width, 32..=[`CONV_CROSSOVER_OPERANDS`]
 /// operands per round, column count). Every key domain is finite, and the
@@ -184,11 +185,27 @@ pub struct SerialTables {
     exact_rounds: Table<(&'static str, u32, usize, usize), f64>,
 }
 
-/// One of [`SerialTables`]' maps.
-type Table<K, V> = Mutex<HashMap<K, V>>;
+/// One of [`SerialTables`]' maps: a build slot per key.
+type Table<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
+
+/// The value of `key` in `table`, built by `build` on first use. The map
+/// is locked only to find or insert the key's slot; the build runs under
+/// the slot's own `OnceLock`, so two threads build two keys at once, and a
+/// second asker of one key waits for that key's build alone.
+fn table_value<K: Eq + Hash, V: Clone>(
+    table: &Table<K, V>,
+    key: K,
+    build: impl FnOnce() -> V,
+) -> V {
+    let slot = {
+        let mut map = table.lock().expect("tables poisoned");
+        Arc::clone(map.entry(key).or_default())
+    };
+    slot.get_or_init(build).clone()
+}
 
 impl SerialTables {
-    /// Whether no table has been filled yet (every fill starts by
+    /// Whether no table has been asked for yet (every fill starts by
     /// reading a digit table).
     pub fn is_empty(&self) -> bool {
         self.digits.lock().expect("tables poisoned").is_empty()
@@ -196,12 +213,9 @@ impl SerialTables {
 
     /// The [`DigitStats`] of (`encoder`, `a_bits`).
     fn digit_stats(&self, encoder: &dyn Encoder, a_bits: u32) -> Arc<DigitStats> {
-        let mut digits = self.digits.lock().expect("tables poisoned");
-        Arc::clone(
-            digits
-                .entry((encoder.name(), a_bits))
-                .or_insert_with(|| Arc::new(DigitStats::of(encoder, a_bits))),
-        )
+        table_value(&self.digits, (encoder.name(), a_bits), || {
+            Arc::new(DigitStats::of(encoder, a_bits))
+        })
     }
 }
 
@@ -580,17 +594,12 @@ pub fn analytic_serial_cycles(
         // Point mass: every column finishes in exactly n·mean.
         n * mean
     } else if ops_per_round <= CONV_CROSSOVER_OPERANDS {
-        let mut exact = tables.exact_rounds.lock().expect("tables poisoned");
-        *exact
-            .entry((encoder.name(), a_bits, ops_per_round, cfg.mp))
-            .or_insert_with(|| {
-                expected_max_of_iid(&convolve_digit_sum(&stats.pmf, ops_per_round), cfg.mp)
-            })
+        let key = (encoder.name(), a_bits, ops_per_round, cfg.mp);
+        table_value(&tables.exact_rounds, key, || {
+            expected_max_of_iid(&convolve_digit_sum(&stats.pmf, ops_per_round), cfg.mp)
+        })
     } else {
-        let mut normal_max = tables.normal_max.lock().expect("tables poisoned");
-        let c = *normal_max
-            .entry(cfg.mp)
-            .or_insert_with(|| std_normal_max_mean(cfg.mp));
+        let c = table_value(&tables.normal_max, cfg.mp, || std_normal_max_mean(cfg.mp));
         n * mean + (n * var).sqrt() * c
     };
 
@@ -936,6 +945,37 @@ mod tests {
         );
         let u = a.utilization();
         assert!(u > 0.0 && u <= 1.0, "utilization {u}");
+    }
+
+    /// A table's map lock is held only to find a key's build slot: while
+    /// one key's build is still running, another key builds and returns.
+    /// (Were the build run under the map lock, the second build would wait
+    /// for the first, whose wait for the second would then time out.)
+    #[test]
+    fn table_builds_of_distinct_keys_run_at_once() {
+        let table: Table<u32, bool> = Table::default();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let table = &table;
+            let slow = scope.spawn(move || {
+                table_value(table, 1, || {
+                    done_rx
+                        .recv_timeout(std::time::Duration::from_secs(10))
+                        .is_ok()
+                })
+            });
+            // Let the slow build take its slot first.
+            while table.lock().unwrap().get(&1).is_none() {
+                std::thread::yield_now();
+            }
+            assert!(table_value(table, 2, || true));
+            done_tx.send(()).unwrap();
+            assert!(
+                slow.join().unwrap(),
+                "a second key must build while the first key's build runs"
+            );
+        });
+        assert!(table_value(&table, 1, || unreachable!("built once")));
     }
 
     /// Only the exact-convolution branch stores round results, and its keys

@@ -5,6 +5,8 @@
 //! thread counts (pinned by the determinism tests). No serde: the
 //! environment vendors no serialization crates, and the schema is flat.
 
+use std::fmt::{self, Write};
+
 use tpe_core::arch::ArchKind;
 
 use crate::eval::PointResult;
@@ -12,7 +14,7 @@ use crate::grid::ModelRun;
 use crate::pareto::Objective;
 use crate::space::{classic_name, SweepWorkload};
 use tpe_engine::serve::json_escape;
-use tpe_engine::{EngineSpec, ModelReport};
+use tpe_engine::ModelReport;
 
 /// CSV header matching the per-point row layout. `workload_kind` is
 /// `layer` or `model`; the `m,n,k,repeats` shape columns are empty for
@@ -38,13 +40,21 @@ pub fn topology_name(kind: ArchKind) -> &'static str {
     }
 }
 
-/// RFC-4180 escaping: fields containing a comma, quote or newline are
-/// quoted (free-form workload names would otherwise shift columns).
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
+/// Appends the field `write` renders (into `scratch`, cleared first) to
+/// `out`, RFC-4180 escaped: a field containing a comma, quote or newline
+/// is quoted (free-form workload names would otherwise shift columns).
+fn push_csv_field(
+    out: &mut String,
+    scratch: &mut String,
+    write: impl FnOnce(&mut String) -> fmt::Result,
+) -> fmt::Result {
+    scratch.clear();
+    write(scratch)?;
+    if scratch.contains([',', '"', '\n', '\r']) {
+        write!(out, "\"{}\"", scratch.replace('"', "\"\""))
     } else {
-        s.to_string()
+        out.push_str(scratch);
+        Ok(())
     }
 }
 
@@ -62,34 +72,43 @@ fn workload_kind(w: &SweepWorkload) -> &'static str {
 /// to a `repro dse` dump of the same slice (golden-tested in
 /// `tpe-bench`).
 pub fn point_csv_row(result: &PointResult, on_front: bool) -> String {
-    let p = &result.point;
-    let w = &p.workload;
-    let shape = match w {
-        SweepWorkload::Layer(l) => format!("{},{},{},{}", l.m, l.n, l.k, l.repeats),
-        SweepWorkload::Model(_) => ",,,".to_string(),
-    };
-    let e: &EngineSpec = &p.engine;
-    let head = format!(
-        "{},{},{},{},{},{:.2},{},{},{},{},{},{},{}",
-        csv_field(&p.label()),
-        e.style.name(),
-        topology_name(e.kind),
-        csv_field(&e.encoding.to_string()),
-        e.node_name,
-        e.freq_ghz,
-        csv_field(w.name()),
-        workload_kind(w),
-        w.layer_count(),
-        w.macs(),
-        shape,
-        u8::from(result.feasible()),
-        u8::from(on_front),
-    );
-    let precision = e.precision.label();
-    let memory = e.memory.name;
+    let mut row = String::with_capacity(192);
+    write_csv_row(&mut row, &mut String::new(), result, on_front).expect(WRITE);
+    row
+}
+
+/// Why a `write!` into a `String` is unwrapped: it cannot fail.
+const WRITE: &str = "writing to a String cannot fail";
+
+/// Appends one result's CSV row (no trailing newline) to `out`; its
+/// labels escape through `scratch`, so the row builds no string.
+fn write_csv_row(
+    out: &mut String,
+    scratch: &mut String,
+    result: &PointResult,
+    on_front: bool,
+) -> fmt::Result {
+    let (e, w) = (&result.point.engine, &result.point.workload);
+    push_csv_field(out, scratch, |s| {
+        e.write_label(s)?;
+        write!(s, "/{}", w.name())
+    })?;
+    write!(out, ",{},{},", e.style.name(), topology_name(e.kind))?;
+    push_csv_field(out, scratch, |s| write!(s, "{}", e.encoding))?;
+    write!(out, ",{},{:.2},", e.node_name, e.freq_ghz)?;
+    push_csv_field(out, scratch, |s| s.write_str(w.name()))?;
+    let (kind, layers, macs) = (workload_kind(w), w.layer_count(), w.macs());
+    write!(out, ",{kind},{layers},{macs},")?;
+    match w {
+        SweepWorkload::Layer(l) => write!(out, "{},{},{},{}", l.m, l.n, l.k, l.repeats)?,
+        SweepWorkload::Model(_) => out.push_str(",,,"),
+    }
+    let (feasible, front) = (u8::from(result.feasible()), u8::from(on_front));
+    let (precision, memory) = (e.precision.label(), e.memory.name);
     match &result.metrics {
-        Some(m) => format!(
-            "{head},{:.3},{:.4},{:.6},{:.4},{:.3},{:.4},{:.5},{:.5},{precision},\
+        Some(m) => write!(
+            out,
+            ",{feasible},{front},{:.3},{:.4},{:.6},{:.4},{:.3},{:.4},{:.5},{:.5},{precision},\
              {memory},{:.0},{:.4},{}",
             m.area_um2,
             m.delay_us,
@@ -103,7 +122,7 @@ pub fn point_csv_row(result: &PointResult, on_front: bool) -> String {
             m.intensity_ops_per_byte,
             m.bound.label(),
         ),
-        None => format!("{head},,,,,,,,,{precision},{memory},,,"),
+        None => write!(out, ",{feasible},{front},,,,,,,,,{precision},{memory},,,"),
     }
 }
 
@@ -111,10 +130,11 @@ pub fn point_csv_row(result: &PointResult, on_front: bool) -> String {
 /// front (from [`crate::pareto::pareto_front`]).
 pub fn to_csv(results: &[PointResult], front: &[usize]) -> String {
     let mut out = String::with_capacity(results.len() * 160);
+    let mut scratch = String::new();
     out.push_str(CSV_HEADER);
     out.push('\n');
     for (i, r) in results.iter().enumerate() {
-        out.push_str(&point_csv_row(r, front.binary_search(&i).is_ok()));
+        write_csv_row(&mut out, &mut scratch, r, front.binary_search(&i).is_ok()).expect(WRITE);
         out.push('\n');
     }
     out
@@ -198,48 +218,50 @@ pub const MODEL_CSV_HEADER: &str =
 /// emit byte-identical text across runs and thread counts).
 pub fn model_csv(runs: &[ModelRun]) -> String {
     let mut out = String::with_capacity(runs.len() * 180 + MODEL_CSV_HEADER.len());
+    let mut scratch = String::new();
     out.push_str(MODEL_CSV_HEADER);
     out.push('\n');
     for run in runs {
-        let e = &run.engine;
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{:.2},{}",
-            csv_field(&run.model),
-            csv_field(&e.label()),
-            e.style.name(),
-            topology_name(e.kind),
-            csv_field(&e.encoding.to_string()),
-            e.node_name,
-            e.freq_ghz,
-            u8::from(run.feasible()),
-        ));
-        let precision = e.precision.label();
-        let memory = e.memory.name;
-        match &run.report {
-            Some(ModelReport {
-                layers, totals: r, ..
-            }) => out.push_str(&format!(
-                ",{},{},{:.0},{:.4},{:.6},{:.3},{:.4},{:.5},{:.5},{:.4},{:.3},{precision},\
-                 {memory},{:.0},{:.4},{}\n",
-                layers.len(),
-                r.total_macs,
-                r.cycles,
-                r.delay_us,
-                r.energy_uj,
-                r.throughput_gops(),
-                r.peak_tops,
-                r.utilization,
-                r.power_w(),
-                r.tops_per_w(),
-                r.area_um2,
-                r.bytes_moved,
-                r.intensity_ops_per_byte,
-                r.bound.label(),
-            )),
-            None => out.push_str(&format!(",,,,,,,,,,,,{precision},{memory},,,\n")),
-        }
+        write_model_row(&mut out, &mut scratch, run).expect(WRITE);
     }
     out
+}
+
+/// Appends one grid cell's [`model_csv`] row, newline included.
+fn write_model_row(out: &mut String, scratch: &mut String, run: &ModelRun) -> fmt::Result {
+    let e = &run.engine;
+    push_csv_field(out, scratch, |s| s.write_str(&run.model))?;
+    out.push(',');
+    push_csv_field(out, scratch, |s| e.write_label(s))?;
+    write!(out, ",{},{},", e.style.name(), topology_name(e.kind))?;
+    push_csv_field(out, scratch, |s| write!(s, "{}", e.encoding))?;
+    let feasible = u8::from(run.feasible());
+    write!(out, ",{},{:.2},{feasible}", e.node_name, e.freq_ghz)?;
+    let (precision, memory) = (e.precision.label(), e.memory.name);
+    match &run.report {
+        Some(ModelReport {
+            layers, totals: r, ..
+        }) => writeln!(
+            out,
+            ",{},{},{:.0},{:.4},{:.6},{:.3},{:.4},{:.5},{:.5},{:.4},{:.3},{precision},\
+             {memory},{:.0},{:.4},{}",
+            layers.len(),
+            r.total_macs,
+            r.cycles,
+            r.delay_us,
+            r.energy_uj,
+            r.throughput_gops(),
+            r.peak_tops,
+            r.utilization,
+            r.power_w(),
+            r.tops_per_w(),
+            r.area_um2,
+            r.bytes_moved,
+            r.intensity_ops_per_byte,
+            r.bound.label(),
+        ),
+        None => writeln!(out, ",,,,,,,,,,,,{precision},{memory},,,"),
+    }
 }
 
 /// Renders a [`crate::grid`] model grid as a JSON document (one object per
@@ -296,13 +318,13 @@ pub fn model_json(runs: &[ModelRun]) -> String {
                      \"bytes_moved\": {:.0}, \"bound\": \"{}\"}}",
                     if j > 0 { ", " } else { "" },
                     json_escape(&l.name),
-                    l.macs,
-                    l.cycles,
-                    l.delay_us,
-                    l.utilization,
-                    l.energy_uj,
-                    l.bytes_moved,
-                    l.bound.label(),
+                    l.cost.macs,
+                    l.cost.cycles,
+                    l.cost.delay_us,
+                    l.cost.utilization,
+                    l.cost.energy_uj,
+                    l.cost.bytes_moved,
+                    l.cost.bound.label(),
                 ));
             }
             out.push(']');
@@ -358,10 +380,16 @@ mod tests {
 
     #[test]
     fn csv_fields_with_delimiters_are_quoted() {
-        assert_eq!(csv_field("plain-name"), "plain-name");
-        assert_eq!(csv_field("a,b"), "\"a,b\"");
-        assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
-        assert_eq!(csv_field("two\nlines"), "\"two\nlines\"");
+        let field = |s: &str| {
+            let mut out = String::from("x,");
+            push_csv_field(&mut out, &mut String::from("stale"), |f| f.write_str(s)).unwrap();
+            out
+        };
+        assert_eq!(field("plain-name"), "x,plain-name");
+        assert_eq!(field("a,b"), "x,\"a,b\"");
+        assert_eq!(field("say \"hi\""), "x,\"say \"\"hi\"\"\"");
+        assert_eq!(field("\"\""), "x,\"\"\"\"\"\"");
+        assert_eq!(field("two\nlines"), "x,\"two\nlines\"");
     }
 
     #[test]

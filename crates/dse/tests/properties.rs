@@ -17,7 +17,8 @@ use tpe_dse::{
 
 use tpe_arith::encode::EncodingKind;
 use tpe_core::arch::{ArchKind, PeStyle};
-use tpe_engine::{evaluate_model, EngineSpec, MODEL_SAMPLE_CAPS};
+use tpe_engine::schedule::evaluate_model_with;
+use tpe_engine::{EngineSpec, MODEL_SAMPLE_CAPS};
 use tpe_sim::array::ClassicArch;
 use tpe_workloads::models;
 use tpe_workloads::{LayerShape, NetworkModel};
@@ -429,14 +430,15 @@ proptest! {
         let net = synthetic_net(&shapes);
         for engine in engines_under_test_with_memory_corners() {
             let price = engine.price().expect("paper clocks close timing");
-            let report = evaluate_model(&engine, &price, &net, seed, MODEL_SAMPLE_CAPS);
+            let cache = EngineCache::global();
+            let report = evaluate_model_with(cache, &engine, &price, &net, seed, MODEL_SAMPLE_CAPS);
             prop_assert_eq!(report.layers.len(), net.layers.len());
 
-            let cycles: f64 = report.layers.iter().map(|l| l.cycles).sum();
-            let delay: f64 = report.layers.iter().map(|l| l.delay_us).sum();
-            let energy: f64 = report.layers.iter().map(|l| l.energy_uj).sum();
-            let macs: u64 = report.layers.iter().map(|l| l.macs).sum();
-            let bytes: f64 = report.layers.iter().map(|l| l.bytes_moved).sum();
+            let cycles: f64 = report.layers.iter().map(|l| l.cost.cycles).sum();
+            let delay: f64 = report.layers.iter().map(|l| l.cost.delay_us).sum();
+            let energy: f64 = report.layers.iter().map(|l| l.cost.energy_uj).sum();
+            let macs: u64 = report.layers.iter().map(|l| l.cost.macs).sum();
+            let bytes: f64 = report.layers.iter().map(|l| l.cost.bytes_moved).sum();
             prop_assert_eq!(report.totals.cycles.to_bits(), cycles.to_bits());
             prop_assert_eq!(report.totals.delay_us.to_bits(), delay.to_bits());
             prop_assert_eq!(report.totals.energy_uj.to_bits(), energy.to_bits());
@@ -451,7 +453,7 @@ proptest! {
             let weighted: f64 = report
                 .layers
                 .iter()
-                .map(|l| l.utilization * l.delay_us)
+                .map(|l| l.cost.utilization * l.cost.delay_us)
                 .sum();
             prop_assert!((report.totals.utilization - weighted / delay).abs() < 1e-12);
             prop_assert!((0.0..=1.0).contains(&report.totals.utilization));

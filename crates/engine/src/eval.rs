@@ -24,7 +24,7 @@ use crate::cache::PriceKey;
 use crate::cache::{EngineCache, ModelKey, PeKey, PeRecord};
 use crate::caps::{CycleModel, SampleProfile, SerialSampleCaps};
 use crate::report::{ModelRecord, ModelReport};
-use crate::schedule::{cached_serial_cycles, layer_traffic};
+use crate::schedule::{cached_serial_cycles, layer_traffic, walk_model};
 use crate::spec::{Bound, EnginePrice, EngineSpec};
 use crate::workload::SweepWorkload;
 use crate::Fnv1a;
@@ -50,13 +50,12 @@ pub(crate) struct EvalObs {
     /// (cold only, analytic mode).
     pub serial_analytic_ns: Arc<Histogram>,
     /// `eval_model_assemble_ns`: one whole-model record assembly — the
-    /// dedup'd walk behind the model cache's miss path (cold only; a
-    /// model-map hit never runs it).
+    /// model walk behind the model cache's miss path, timed as a whole
+    /// (cold only; a model-map hit never runs it).
     pub model_assemble_ns: Arc<Histogram>,
-    /// `eval_traffic_ns`: one per-layer memory-traffic computation (the
-    /// roofline's byte accounting). A model-map hit never recomputes
-    /// traffic; bare-layer metrics recompute it on every call — it is
-    /// allocation-free and orders of magnitude below one cycle sample.
+    /// `eval_traffic_ns`: one bare-layer memory-traffic computation (the
+    /// roofline's byte accounting), recomputed on every layer-workload
+    /// metrics call. A model walk's layers are not timed one by one.
     pub traffic_ns: Arc<Histogram>,
     /// `eval_price_calls`: total [`Evaluator::price`] calls, hot or cold.
     pub price_calls: Arc<Counter>,
@@ -283,9 +282,10 @@ impl<'c> Evaluator<'c> {
         // derive a seed.
         let (cycles, busy_frac, model_rec) = match (workload, spec.kind) {
             (SweepWorkload::Model(net), kind) => {
-                // One model-map lookup. The pooled serial busy fraction
-                // reproduces `serial_model_cycles` bit for bit; dense
-                // arrays clock every PE every cycle, useful or not.
+                // One model-map lookup. The serial busy fraction pools busy
+                // cycles across layers (pinned bit for bit against a
+                // per-layer oracle in the schedule tests); dense arrays
+                // clock every PE every cycle, useful or not.
                 let point_seed = self.sample_seed(seed, spec, &net.name);
                 let rec = self.model_record(spec, &price, net, point_seed);
                 let busy_frac = match kind {
@@ -426,11 +426,15 @@ impl<'c> Evaluator<'c> {
         let key = ModelKey::of(spec, net, cell_seed, caps);
         let report = self.cache.model_report(key.clone(), || {
             let price = self.price(spec)?;
-            let rows = {
+            let (totals, rows) = {
                 let _span = eval_obs().model_assemble_ns.span();
-                crate::schedule::assemble_model_rows(self.cache, spec, &price, net, cell_seed, caps)
+                walk_model(self.cache, spec, &price, net, cell_seed, caps, true)
             };
-            let report = ModelReport::aggregate(net.name.as_str(), spec, &price, rows);
+            let report = ModelReport {
+                engine: spec.clone(),
+                layers: rows.into(),
+                totals,
+            };
             self.cache.model_record(key, || report.totals.clone());
             Some(report)
         })?;
@@ -478,9 +482,9 @@ impl<'c> Evaluator<'c> {
     }
 
     /// The cached whole-model record for `(spec, net, seed)`. One
-    /// model-map lookup; a miss runs the dedup'd walk
-    /// ([`crate::schedule::assemble_model_rows`]) under the
-    /// `eval_model_assemble_ns` span, sums its rows and drops them.
+    /// model-map lookup; a miss runs the model walk
+    /// ([`crate::schedule::walk_model`]) under the
+    /// `eval_model_assemble_ns` span, keeping no row.
     fn model_record(
         &self,
         spec: &EngineSpec,
@@ -492,9 +496,7 @@ impl<'c> Evaluator<'c> {
         let key = ModelKey::of(spec, net, seed, caps);
         self.cache.model_record(key, || {
             let _span = eval_obs().model_assemble_ns.span();
-            let rows =
-                crate::schedule::assemble_model_rows(self.cache, spec, price, net, seed, caps);
-            ModelRecord::aggregate(net.name.as_str(), price, &rows)
+            walk_model(self.cache, spec, price, net, seed, caps, false).0
         })
     }
 }
@@ -1038,10 +1040,10 @@ mod tests {
             .with_memory(MemorySpec::edge());
         let net = models::resnet18();
         let r = eval.model_report(&spec, &net, 7).unwrap();
-        let bytes: f64 = r.layers.iter().map(|l| l.bytes_moved).sum();
+        let bytes: f64 = r.layers.iter().map(|l| l.cost.bytes_moved).sum();
         assert_eq!(r.totals.bytes_moved.to_bits(), bytes.to_bits());
         for l in r.layers.iter() {
-            assert!(l.bytes_moved > 0.0, "{}", l.name);
+            assert!(l.cost.bytes_moved > 0.0, "{}", l.name);
         }
     }
 

@@ -81,11 +81,8 @@ pub mod workload;
 pub use cache::{CacheContents, CacheStats, EngineCache, ModelKey};
 pub use caps::{CycleModel, SampleProfile, SerialSampleCaps};
 pub use eval::{Evaluator, Metrics};
-pub use report::{LayerReport, ModelRecord, ModelReport};
-pub use schedule::{
-    dense_model_cycles, dense_tiles, evaluate_model, schedule_layer, serial_model_cycles,
-    LayerSchedule, MODEL_SAMPLE_CAPS,
-};
+pub use report::{LayerCost, LayerReport, ModelRecord, ModelReport};
+pub use schedule::{dense_tiles, LayerSchedule, MODEL_SAMPLE_CAPS};
 pub use schedule::{layer_traffic, LayerTraffic};
 pub use snapshot::{SnapshotInfo, SNAPSHOT_VERSION};
 pub use spec::{classic_name, Bound, Corner, EnginePrice, EngineSpec, MemorySpec};

@@ -6,21 +6,19 @@
 //! compare across networks: end-to-end latency, sustained throughput,
 //! energy, TOPS/W and delay-weighted utilization. A [`ModelReport`] adds
 //! the per-layer rows. Aggregates are pure sums/weighted means of those
-//! rows (property-tested in `tpe-dse`'s suite), so layer and model views
-//! can never drift apart.
+//! rows (property-tested in `tpe-dse`'s suite), folded by one function
+//! ([`ModelRecord::fold`]) whether the rows are kept (a report) or not (a
+//! record's model walk), so layer and model views can never drift apart.
 
 use std::sync::Arc;
 
 use crate::spec::{Bound, EnginePrice, EngineSpec};
 
-/// One layer's scheduled outcome on one engine.
-///
-/// The label is `Arc`-backed so a report served from the cache shares
-/// the rows instead of re-cloning every name.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerReport {
-    /// Layer label (the figure x-axis names).
-    pub name: Arc<str>,
+/// One layer's costed outcome on one engine, without its name: what a
+/// model walk folds into its record. It is `Copy`, so costing a layer
+/// allocates nothing; only a report names its rows ([`LayerReport`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LayerCost {
     /// Useful multiply–accumulates.
     pub macs: u64,
     /// Scheduling granularity: dense img2col tiles or serial sync rounds.
@@ -43,6 +41,18 @@ pub struct LayerReport {
     /// Busy cycles summed over the serial array's columns (0 for dense
     /// engines, which never pool busy cycles).
     pub busy_sum: f64,
+}
+
+/// One layer's scheduled outcome on one engine: its label and its cost.
+///
+/// The label is `Arc`-backed so a report served from the cache shares
+/// the rows instead of re-cloning every name.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LayerReport {
+    /// Layer label (the figure x-axis names).
+    pub name: Arc<str>,
+    /// The layer's costed outcome.
+    pub cost: LayerCost,
 }
 
 /// The end-to-end aggregates of one model on one engine: everything a
@@ -77,29 +87,60 @@ pub struct ModelRecord {
     pub bound: Bound,
     /// Busy cycles pooled across layers (in layer order) — what an
     /// unbounded-corner dse model point divides by `cycles × MP` for its
-    /// busy fraction (see [`crate::schedule::serial_model_cycles`]).
+    /// busy fraction.
     pub busy_sum: f64,
 }
 
 impl ModelRecord {
-    /// Sums per-layer rows into the end-to-end aggregates. The model
-    /// label accepts anything `Arc<str>`-able, so callers with a shared
-    /// name pass it without re-allocating.
+    /// Sums per-layer rows into the end-to-end aggregates ([`Self::fold`]
+    /// over their costs). The model label accepts anything
+    /// `Arc<str>`-able, so callers with a shared name pass it without
+    /// re-allocating.
     pub fn aggregate(
         model: impl Into<Arc<str>>,
         price: &EnginePrice,
         layers: &[LayerReport],
     ) -> Self {
-        let delay_us: f64 = layers.iter().map(|l| l.delay_us).sum();
-        let util_weighted: f64 = layers.iter().map(|l| l.utilization * l.delay_us).sum();
-        let total_macs: u64 = layers.iter().map(|l| l.macs).sum();
-        let bytes_moved: f64 = layers.iter().map(|l| l.bytes_moved).sum();
+        Self::fold(model, price, layers.iter().map(|l| l.cost))
+    }
+
+    /// Folds per-layer costs, in layer order, into the end-to-end record:
+    /// the one accumulation behind every model record, with or without
+    /// rows kept. Each sum starts from −0.0 and adds in order, exactly as
+    /// `Iterator::sum` over `f64` does. The bound is the class holding the
+    /// largest share of end-to-end delay; ties resolve in
+    /// `Compute > Sram > Dram` order, so an all-compute model (the
+    /// `Unbounded` corner, always) reads as compute-bound even when empty.
+    pub fn fold(
+        model: impl Into<Arc<str>>,
+        price: &EnginePrice,
+        costs: impl IntoIterator<Item = LayerCost>,
+    ) -> Self {
+        let (mut total_macs, mut bound_delay) = (0u64, [0.0_f64; 3]);
+        let [mut cycles, mut delay_us, mut energy_uj] = [-0.0_f64; 3];
+        let [mut util_weighted, mut bytes_moved, mut busy_sum] = [-0.0_f64; 3];
+        for c in costs {
+            total_macs += c.macs;
+            cycles += c.cycles;
+            delay_us += c.delay_us;
+            energy_uj += c.energy_uj;
+            util_weighted += c.utilization * c.delay_us;
+            bytes_moved += c.bytes_moved;
+            busy_sum += c.busy_sum;
+            bound_delay[c.bound as usize] += c.delay_us;
+        }
+        let mut bound = Bound::Compute;
+        for b in [Bound::Sram, Bound::Dram] {
+            if bound_delay[b as usize] > bound_delay[bound as usize] {
+                bound = b;
+            }
+        }
         Self {
             model: model.into(),
             total_macs,
-            cycles: layers.iter().map(|l| l.cycles).sum(),
+            cycles,
             delay_us,
-            energy_uj: layers.iter().map(|l| l.energy_uj).sum(),
+            energy_uj,
             utilization: if delay_us > 0.0 {
                 util_weighted / delay_us
             } else {
@@ -113,8 +154,8 @@ impl ModelRecord {
             } else {
                 0.0
             },
-            bound: dominant_bound(layers),
-            busy_sum: layers.iter().map(|l| l.busy_sum).sum(),
+            bound,
+            busy_sum,
         }
     }
 
@@ -185,30 +226,6 @@ impl ModelReport {
     }
 }
 
-/// The bound class holding the largest share of end-to-end delay. Ties
-/// resolve in `Compute > Sram > Dram` order, so an all-compute model (the
-/// `Unbounded` corner, always) reads as compute-bound even when empty.
-fn dominant_bound(layers: &[LayerReport]) -> Bound {
-    let mut share = [0.0_f64; 3];
-    for l in layers {
-        let slot = match l.bound {
-            Bound::Compute => 0,
-            Bound::Sram => 1,
-            Bound::Dram => 2,
-        };
-        share[slot] += l.delay_us;
-    }
-    let mut best = Bound::Compute;
-    let mut best_share = share[0];
-    for (slot, bound) in [(1, Bound::Sram), (2, Bound::Dram)] {
-        if share[slot] > best_share {
-            best = bound;
-            best_share = share[slot];
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,16 +235,18 @@ mod tests {
     fn layer(name: &str, macs: u64, cycles: f64, util: f64, energy: f64) -> LayerReport {
         LayerReport {
             name: name.into(),
-            macs,
-            tiles: 1.0,
-            cycles,
-            delay_us: cycles / 1e3,
-            utilization: util,
-            energy_uj: energy,
-            bytes_moved: macs as f64,
-            intensity_ops_per_byte: 2.0,
-            bound: Bound::Compute,
-            busy_sum: 0.0,
+            cost: LayerCost {
+                macs,
+                tiles: 1.0,
+                cycles,
+                delay_us: cycles / 1e3,
+                utilization: util,
+                energy_uj: energy,
+                bytes_moved: macs as f64,
+                intensity_ops_per_byte: 2.0,
+                bound: Bound::Compute,
+                busy_sum: 0.0,
+            },
         }
     }
 
@@ -277,15 +296,15 @@ mod tests {
             layer("b", 10, 300.0, 1.0, 1.0),
             layer("c", 10, 100.0, 1.0, 1.0),
         ];
-        rows[1].bound = Bound::Dram;
+        rows[1].cost.bound = Bound::Dram;
         let r = ModelRecord::aggregate("toy", &price(), &rows);
         assert_eq!(r.bound, Bound::Dram, "300 of 500 delay units are DRAM");
-        rows[1].bound = Bound::Compute;
-        rows[2].bound = Bound::Sram;
+        rows[1].cost.bound = Bound::Compute;
+        rows[2].cost.bound = Bound::Sram;
         let r = ModelRecord::aggregate("toy", &price(), &rows);
         assert_eq!(r.bound, Bound::Compute);
         // Exact tie: compute wins over sram.
-        rows[1].delay_us = 0.0;
+        rows[1].cost.delay_us = 0.0;
         let r = ModelRecord::aggregate("toy", &price(), &rows);
         assert_eq!(r.bound, Bound::Compute);
         // Degenerate empty model.

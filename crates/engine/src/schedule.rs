@@ -25,18 +25,17 @@
 //!
 //! [`sample_serial_cycles`]: tpe_core::arch::workload::sample_serial_cycles
 
-use std::collections::HashMap;
 use std::fmt::Write;
 
 use tpe_core::arch::workload::{serial_cycle_stats, SerialCycleStats};
 use tpe_core::arch::ArchKind;
-use tpe_sim::array::ClassicArch;
+use tpe_sim::array::{ClassicArch, DenseArray};
 use tpe_sim::BitsliceConfig;
 use tpe_workloads::{LayerShape, NetworkModel};
 
 use crate::cache::{CycleKey, EngineCache, SerialLayerRecord};
 use crate::caps::{CycleModel, SampleProfile, SerialSampleCaps};
-use crate::report::{LayerReport, ModelReport};
+use crate::report::{LayerCost, LayerReport, ModelRecord, ModelReport};
 use crate::spec::{Bound, EnginePrice, EngineSpec, MemorySpec};
 
 /// Sampling caps for whole-model serial evaluation
@@ -248,31 +247,19 @@ pub fn cached_serial_cycles(
 ) -> SerialLayerRecord {
     let caps = caps_for_layer(spec, layer, caps);
     let key = CycleKey::of(spec, layer, seed, caps);
-    cache.serial_record(key, || serial_record_miss(cache, spec, layer, seed, caps))
-}
-
-/// A cycle-map miss: the serial-cycle backend `caps.model` selects, run
-/// through `cache`'s tables at the layer's effective width and timed
-/// under `eval_serial_sample_ns` or `eval_serial_analytic_ns`. `caps` are
-/// the layer's corrected caps.
-fn serial_record_miss(
-    cache: &EngineCache,
-    spec: &EngineSpec,
-    layer: &LayerShape,
-    seed: u64,
-    caps: SerialSampleCaps,
-) -> SerialLayerRecord {
-    let (cfg, encoder) = (serial_config(spec), spec.encoding.encoder());
-    let a_bits = layer_a_bits(spec, layer);
-    let obs = crate::eval::eval_obs();
-    let span = match caps.model {
-        CycleModel::Sampled => obs.serial_sample_ns.span(),
-        CycleModel::Analytic => obs.serial_analytic_ns.span(),
-    };
-    let tables = cache.serial_tables();
-    let stats = serial_cycle_stats(tables, &cfg, encoder.as_ref(), a_bits, layer, seed, caps);
-    drop(span);
-    record_of(&stats)
+    cache.serial_record(key, || {
+        let (cfg, encoder) = (serial_config(spec), spec.encoding.encoder());
+        let a_bits = layer_a_bits(spec, layer);
+        let obs = crate::eval::eval_obs();
+        let span = match caps.model {
+            CycleModel::Sampled => obs.serial_sample_ns.span(),
+            CycleModel::Analytic => obs.serial_analytic_ns.span(),
+        };
+        let tables = cache.serial_tables();
+        let stats = serial_cycle_stats(tables, &cfg, encoder.as_ref(), a_bits, layer, seed, caps);
+        drop(span);
+        record_of(&stats)
+    })
 }
 
 /// Collapses per-column stats into the memoized record (bit-identically
@@ -307,17 +294,7 @@ pub fn schedule_layer_with(
     caps: SerialSampleCaps,
 ) -> LayerSchedule {
     match engine.kind {
-        ArchKind::Dense(arch) => {
-            let sim = arch.at_paper_config();
-            let cycles =
-                sim.estimate_cycles(layer.m, layer.n, layer.k) as f64 * layer.repeats as f64;
-            LayerSchedule {
-                cycles,
-                busy_frac: 1.0,
-                tiles: dense_tiles(arch, layer) as f64,
-                busy_sum: 0.0,
-            }
-        }
+        ArchKind::Dense(arch) => dense_schedule(arch, arch.at_paper_config().as_ref(), layer),
         ArchKind::Serial => {
             let rec = cached_serial_cycles(cache, engine, layer, seed, caps);
             LayerSchedule {
@@ -330,14 +307,15 @@ pub fn schedule_layer_with(
     }
 }
 
-/// [`schedule_layer_with`] against the process-wide global cache.
-pub fn schedule_layer(
-    engine: &EngineSpec,
-    layer: &LayerShape,
-    seed: u64,
-    caps: SerialSampleCaps,
-) -> LayerSchedule {
-    schedule_layer_with(EngineCache::global(), engine, layer, seed, caps)
+/// A dense layer's schedule on `sim`, the `arch` array at its paper
+/// configuration: closed-form cycles, every PE busy every cycle.
+fn dense_schedule(arch: ClassicArch, sim: &dyn DenseArray, layer: &LayerShape) -> LayerSchedule {
+    LayerSchedule {
+        cycles: sim.estimate_cycles(layer.m, layer.n, layer.k) as f64 * layer.repeats as f64,
+        busy_frac: 1.0,
+        tiles: dense_tiles(arch, layer) as f64,
+        busy_sum: 0.0,
+    }
 }
 
 /// The engine's bit-slice configuration with its encoding swapped in.
@@ -366,63 +344,21 @@ fn layer_seed(seed: u64, index: usize, layer: &LayerShape) -> u64 {
     seed ^ h.finish()
 }
 
-/// Total cycles of a whole model on a dense topology (closed-form; no
-/// sampling, hence no seed).
-pub fn dense_model_cycles(arch: ClassicArch, net: &NetworkModel) -> f64 {
-    let sim = arch.at_paper_config();
-    net.layers
-        .iter()
-        .map(|l| sim.estimate_cycles(l.m, l.n, l.k) as f64 * l.repeats as f64)
-        .sum()
-}
-
-/// Total cycles and aggregate busy fraction of a whole model on a serial
-/// array: every layer goes through the shared sampled sync model with its
-/// own order-independent seed, and busy cycles are pooled across layers
-/// (the delay-weighted utilization).
-pub fn serial_model_cycles(
-    cache: &EngineCache,
-    spec: &EngineSpec,
-    net: &NetworkModel,
-    seed: u64,
-    caps: SerialSampleCaps,
-) -> (f64, f64) {
-    let mp = serial_config(spec).mp;
-    let mut cycles = 0.0;
-    let mut busy_sum = 0.0;
-    for (i, layer) in net.layers.iter().enumerate() {
-        let rec = cached_serial_cycles(cache, spec, layer, layer_seed(seed, i, layer), caps);
-        busy_sum += rec.busy_sum;
-        cycles += rec.cycles;
-    }
-    // Guard the degenerate empty network (0 cycles would divide to NaN).
-    let busy_frac = if cycles > 0.0 {
-        busy_sum / (cycles * mp as f64)
-    } else {
-        0.0
-    };
-    (cycles, busy_frac)
-}
-
-/// Costs one scheduled layer into its report row. Shared between the
-/// naive per-layer walk ([`evaluate_model_with`]) and the dedup'd model
-/// assembly (`assemble_model_rows`) so the two paths stay bit-identical
-/// by construction.
-fn layer_row(
+/// Costs one scheduled layer. Shared between the naive per-layer walk
+/// ([`evaluate_model_with`]) and the model caches' walk (`walk_model`) so
+/// the two paths stay bit-identical by construction. Pure arithmetic: no
+/// timer, no counter and no allocation per layer.
+fn layer_cost(
     engine: &EngineSpec,
     price: &EnginePrice,
     layer: &LayerShape,
     s: LayerSchedule,
-) -> LayerReport {
+) -> LayerCost {
     let macs = layer.macs();
-    let traffic = {
-        let _span = crate::eval::eval_obs().traffic_ns.span();
-        layer_traffic(engine, layer)
-    };
+    let traffic = layer_traffic(engine, layer);
     let bytes_moved = traffic.total_bytes();
     let intensity_ops_per_byte = traffic.intensity(macs);
     let (eff_cycles, bound) = traffic.roofline(&engine.memory, s.cycles);
-    crate::eval::eval_obs().bound_counter(bound).inc();
     let (cycles, delay_us, utilization, energy_uj) = if engine.memory.is_unbounded() {
         // The pre-memory arithmetic, expression for expression: the golden
         // CSVs pin these f64 bit patterns, so the unbounded corner must
@@ -452,8 +388,7 @@ fn layer_row(
         };
         (eff_cycles, delay_us, utilization, energy_uj)
     };
-    LayerReport {
-        name: layer.name.as_str().into(),
+    LayerCost {
         macs,
         tiles: s.tiles,
         cycles,
@@ -472,10 +407,11 @@ fn layer_row(
 /// [`ModelReport`].
 ///
 /// This is the naive per-layer oracle — one schedule per layer, no shape
-/// dedup. The cached model path (`assemble_model_rows` behind
-/// [`EngineCache::model_record`] and [`EngineCache::model_report`]) must
-/// stay bit-identical to it; the equality is pinned by unit tests and a
-/// proptest across cycle models and precisions.
+/// dedup, no `ctr_layers_*_bound` counting. The cached model path
+/// (`walk_model` behind [`EngineCache::model_record`] and
+/// [`EngineCache::model_report`]) must stay bit-identical to it; the
+/// equality is pinned by unit tests and a proptest across cycle models,
+/// precisions and memory corners.
 pub fn evaluate_model_with(
     cache: &EngineCache,
     engine: &EngineSpec,
@@ -490,99 +426,82 @@ pub fn evaluate_model_with(
         .enumerate()
         .map(|(i, layer)| {
             let s = schedule_layer_with(cache, engine, layer, layer_seed(seed, i, layer), caps);
-            layer_row(engine, price, layer, s)
+            LayerReport {
+                name: layer.name.as_str().into(),
+                cost: layer_cost(engine, price, layer, s),
+            }
         })
         .collect();
     ModelReport::aggregate(net.name.as_str(), engine, price, layers)
 }
 
-/// The model caches' miss path: one whole-model walk into its per-layer
-/// rows, restructured for speed but bit-identical to the rows of
-/// [`evaluate_model_with`]:
+/// The model caches' miss path: one walk that costs each layer and folds
+/// it into the returned record, bit-identical to [`evaluate_model_with`].
+/// With `keep_rows` (a report) it also names each layer into a returned
+/// row; a record builds no row.
 ///
-/// * **Hoisting** — the dense simulator (`at_paper_config`) is built
-///   once per walk instead of once per layer.
-/// * **Shape dedup** — layers are grouped by their full cycle identity
-///   (the [`CycleKey`] for serial engines — shape, effective `a_bits`,
-///   corrected caps *and* per-layer seed — or `(m, n, k, repeats)` for
-///   dense ones) and each group is scheduled once; rows are then
-///   materialized per occurrence in original layer order. Analytic mode
-///   canonicalizes seeds to zero, so repeated shapes collapse across the
-///   whole network; sampled mode dedups only layers whose derived seeds
-///   coincide, exactly as the naive loop would have sampled them.
+/// * The dense simulator (`at_paper_config`) is built once per walk; its
+///   closed-form cycle estimate is cheaper than any dedup lookup.
+/// * Each distinct [`CycleKey`] costs at most one cycle-cache lookup per
+///   walk. Sampled keys carry a seed derived from the layer's index, so
+///   they never repeat within a walk. Analytic keys zero the seed and the
+///   sampling caps, so within one engine they reduce to (effective
+///   `a_bits`, `m`, `n`, `k`, `repeats`), found by a scan over the walk's
+///   distinct shapes.
 ///
-/// The caller sums the rows ([`crate::report::ModelRecord::aggregate`])
-/// and keeps them only when a report asks for them.
-pub(crate) fn assemble_model_rows(
+/// No per-row timer runs (the caller times the whole walk under
+/// `eval_model_assemble_ns`), and the rows' roofline bounds are added to
+/// the `ctr_layers_*_bound` counters once per walk.
+pub(crate) fn walk_model(
     cache: &EngineCache,
     spec: &EngineSpec,
     price: &EnginePrice,
     net: &NetworkModel,
     seed: u64,
     caps: SerialSampleCaps,
-) -> Vec<LayerReport> {
-    let mut rows = Vec::with_capacity(net.layers.len());
-    match spec.kind {
-        ArchKind::Dense(arch) => {
-            let sim = arch.at_paper_config();
-            let mut cycles_of: HashMap<(usize, usize, usize, usize), f64> = HashMap::new();
-            for layer in net.layers.iter() {
-                let cycles = *cycles_of
-                    .entry((layer.m, layer.n, layer.k, layer.repeats))
-                    .or_insert_with(|| {
-                        sim.estimate_cycles(layer.m, layer.n, layer.k) as f64 * layer.repeats as f64
-                    });
-                let s = LayerSchedule {
-                    cycles,
-                    busy_frac: 1.0,
-                    tiles: dense_tiles(arch, layer) as f64,
-                    busy_sum: 0.0,
-                };
-                rows.push(layer_row(spec, price, layer, s));
+    keep_rows: bool,
+) -> (ModelRecord, Vec<LayerReport>) {
+    let dense = match spec.kind {
+        ArchKind::Dense(arch) => Some((arch, arch.at_paper_config())),
+        ArchKind::Serial => None,
+    };
+    let mut shapes: Vec<([usize; 5], LayerSchedule)> = Vec::new();
+    let mut rows = Vec::with_capacity(if keep_rows { net.layers.len() } else { 0 });
+    let mut bounds = [0u64; 3];
+    let costs = net.layers.iter().enumerate().map(|(i, layer)| {
+        let s = match (&dense, caps.model) {
+            (Some((arch, sim)), _) => dense_schedule(*arch, sim.as_ref(), layer),
+            (None, CycleModel::Sampled) => {
+                schedule_layer_with(cache, spec, layer, layer_seed(seed, i, layer), caps)
             }
-        }
-        ArchKind::Serial => {
-            let mut seen: HashMap<CycleKey, SerialLayerRecord> = HashMap::new();
-            for (i, layer) in net.layers.iter().enumerate() {
-                let lcaps = caps_for_layer(spec, layer, caps);
-                // The analytic key zeroes the seed: skip deriving it.
-                let lseed = match lcaps.model {
-                    CycleModel::Sampled => layer_seed(seed, i, layer),
-                    CycleModel::Analytic => 0,
-                };
-                let key = CycleKey::of(spec, layer, lseed, lcaps);
-                let rec = match seen.get(&key) {
-                    Some(rec) => *rec,
+            (None, CycleModel::Analytic) => {
+                let a_bits = layer_a_bits(spec, layer) as usize;
+                let shape = [a_bits, layer.m, layer.n, layer.k, layer.repeats];
+                match shapes.iter().find(|(seen, _)| *seen == shape) {
+                    Some(&(_, s)) => s,
                     None => {
-                        let rec = cache.serial_record(key, || {
-                            serial_record_miss(cache, spec, layer, lseed, lcaps)
-                        });
-                        seen.insert(key, rec);
-                        rec
+                        let s = schedule_layer_with(cache, spec, layer, 0, caps);
+                        shapes.push((shape, s));
+                        s
                     }
-                };
-                let s = LayerSchedule {
-                    cycles: rec.cycles,
-                    busy_frac: rec.utilization(),
-                    tiles: rec.rounds,
-                    busy_sum: rec.busy_sum,
-                };
-                rows.push(layer_row(spec, price, layer, s));
+                }
             }
+        };
+        let cost = layer_cost(spec, price, layer, s);
+        bounds[cost.bound as usize] += 1;
+        if keep_rows {
+            let name = layer.name.as_str().into();
+            rows.push(LayerReport { name, cost });
         }
+        cost
+    });
+    let record = ModelRecord::fold(net.name.as_str(), price, costs);
+    let obs = crate::eval::eval_obs();
+    let classes = [Bound::Compute, Bound::Sram, Bound::Dram];
+    for (bound, n) in classes.into_iter().zip(bounds) {
+        obs.bound_counter(bound).add(n);
     }
-    rows
-}
-
-/// [`evaluate_model_with`] against the process-wide global cache.
-pub fn evaluate_model(
-    engine: &EngineSpec,
-    price: &EnginePrice,
-    net: &NetworkModel,
-    seed: u64,
-    caps: SerialSampleCaps,
-) -> ModelReport {
-    evaluate_model_with(EngineCache::global(), engine, price, net, seed, caps)
+    (record, rows)
 }
 
 #[cfg(test)]
@@ -597,6 +516,35 @@ mod tests {
 
     fn opt4e() -> EngineSpec {
         EngineSpec::serial(PeStyle::Opt4E, EncodingKind::EnT, 2.0)
+    }
+
+    /// Total cycles and aggregate busy fraction of a whole model on a serial
+    /// array: every layer goes through the shared sampled sync model with its
+    /// own order-independent seed, and busy cycles are pooled across layers
+    /// (the delay-weighted utilization) — the oracle a model record's
+    /// pooled busy fraction must reproduce.
+    fn serial_model_cycles(
+        cache: &EngineCache,
+        spec: &EngineSpec,
+        net: &NetworkModel,
+        seed: u64,
+        caps: SerialSampleCaps,
+    ) -> (f64, f64) {
+        let mp = serial_config(spec).mp;
+        let mut cycles = 0.0;
+        let mut busy_sum = 0.0;
+        for (i, layer) in net.layers.iter().enumerate() {
+            let rec = cached_serial_cycles(cache, spec, layer, layer_seed(seed, i, layer), caps);
+            busy_sum += rec.busy_sum;
+            cycles += rec.cycles;
+        }
+        // Guard the degenerate empty network (0 cycles would divide to NaN).
+        let busy_frac = if cycles > 0.0 {
+            busy_sum / (cycles * mp as f64)
+        } else {
+            0.0
+        };
+        (cycles, busy_frac)
     }
 
     #[test]
@@ -626,8 +574,9 @@ mod tests {
         assert_eq!((lowered.m, lowered.n, lowered.k), (64, 56 * 56, 576));
         let explicit = LayerShape::new("l1", 64, 56 * 56, 576, 1);
         let engine = EngineSpec::dense(PeStyle::TraditionalMac, ClassicArch::Tpu, 1.0);
-        let a = schedule_layer(&engine, &lowered, 1, MODEL_SAMPLE_CAPS);
-        let b = schedule_layer(&engine, &explicit, 1, MODEL_SAMPLE_CAPS);
+        let cache = EngineCache::new();
+        let a = schedule_layer_with(&cache, &engine, &lowered, 1, MODEL_SAMPLE_CAPS);
+        let b = schedule_layer_with(&cache, &engine, &explicit, 1, MODEL_SAMPLE_CAPS);
         assert_eq!(a, b);
     }
 
@@ -635,7 +584,8 @@ mod tests {
     fn serial_schedule_matches_shared_sync_model() {
         let engine = opt4e();
         let layer = LayerShape::new("fc1", 1, 4 * 768, 768, 1);
-        let s = schedule_layer(&engine, &layer, 7, MODEL_SAMPLE_CAPS);
+        let cache = EngineCache::new();
+        let s = schedule_layer_with(&cache, &engine, &layer, 7, MODEL_SAMPLE_CAPS);
         assert!(s.cycles > 0.0);
         assert!((0.0..=1.0).contains(&s.busy_frac));
         assert!(s.busy_frac > 0.9, "K=768 keeps columns busy (Fig. 11(A))");
@@ -646,13 +596,15 @@ mod tests {
     fn model_cycles_sum_layer_cycles() {
         let net = models::resnet18();
         let engine = EngineSpec::dense(PeStyle::TraditionalMac, ClassicArch::Tpu, 1.0);
+        let cache = EngineCache::new();
         let per_layer: f64 = net
             .layers
             .iter()
-            .map(|l| schedule_layer(&engine, l, 0, MODEL_SAMPLE_CAPS).cycles)
+            .map(|l| schedule_layer_with(&cache, &engine, l, 0, MODEL_SAMPLE_CAPS).cycles)
             .sum();
-        let whole = dense_model_cycles(ClassicArch::Tpu, &net);
-        assert!((per_layer - whole).abs() < 1e-6 * whole.max(1.0));
+        let price = engine.price().unwrap();
+        let whole = walk_model(&cache, &engine, &price, &net, 0, MODEL_SAMPLE_CAPS, false).0;
+        assert_eq!(per_layer.to_bits(), whole.cycles.to_bits());
     }
 
     #[test]
@@ -761,15 +713,78 @@ mod tests {
         }
     }
 
-    /// The dedup'd assembly behind the model caches must be bit-identical
-    /// to the naive per-layer oracle — dense and serial, repeated shapes,
-    /// mixed-precision overrides — and the busy pool must reproduce
-    /// [`serial_model_cycles`]' aggregate exactly.
+    /// Every field of two records, floats compared by bit pattern (a
+    /// `PartialEq` match would let −0.0 and 0.0 pass as equal).
+    fn assert_same_record(stored: &ModelRecord, naive: &ModelRecord, what: &str) {
+        assert_eq!(stored.model, naive.model, "{what}");
+        assert_eq!(stored.total_macs, naive.total_macs, "{what}");
+        assert_eq!(stored.bound, naive.bound, "{what}");
+        let bits = |r: &ModelRecord| {
+            [
+                r.cycles,
+                r.delay_us,
+                r.energy_uj,
+                r.utilization,
+                r.area_um2,
+                r.peak_tops,
+                r.bytes_moved,
+                r.intensity_ops_per_byte,
+                r.busy_sum,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(bits(stored), bits(naive), "{what}");
+    }
+
+    /// The model walk's record and rows, against the naive oracle's at one
+    /// engine and caps: the record the model map stores must equal
+    /// `ModelRecord::aggregate` of the naive rows bit for bit, and the
+    /// kept rows must equal the naive rows.
+    fn assert_walk_matches_naive(
+        cache: &EngineCache,
+        engine: &EngineSpec,
+        net: &NetworkModel,
+        seed: u64,
+        caps: SerialSampleCaps,
+    ) {
+        let what = format!("{} {:?} {}", engine.label(), caps.model, net.name);
+        let price = engine.price().expect("paper clocks close timing");
+        let naive = evaluate_model_with(cache, engine, &price, net, seed, caps);
+        let (stored, _) = walk_model(cache, engine, &price, net, seed, caps, false);
+        let aggregated = ModelRecord::aggregate(net.name.as_str(), &price, &naive.layers);
+        assert_same_record(&stored, &aggregated, &what);
+        // The fold must equal plain per-field `Iterator::sum`s, bit for bit.
+        let sum = |f: fn(&LayerCost) -> f64| naive.layers.iter().map(|l| f(&l.cost)).sum::<f64>();
+        let sums = [
+            sum(|c| c.cycles),
+            sum(|c| c.delay_us),
+            sum(|c| c.energy_uj),
+            sum(|c| c.bytes_moved),
+            sum(|c| c.busy_sum),
+        ];
+        let fields = [
+            stored.cycles,
+            stored.delay_us,
+            stored.energy_uj,
+            stored.bytes_moved,
+            stored.busy_sum,
+        ];
+        assert_eq!(fields.map(f64::to_bits), sums.map(f64::to_bits), "{what}");
+        let (totals, rows) = walk_model(cache, engine, &price, net, seed, caps, true);
+        assert_same_record(&totals, &stored, &what);
+        assert_eq!(*naive.layers, rows[..], "{what}");
+    }
+
+    /// The model walk behind the model caches must be bit-identical to the
+    /// naive per-layer oracle — dense and serial, repeated shapes,
+    /// mixed-precision overrides, an empty network, at every memory
+    /// corner — and under the unbounded corner the busy pool must
+    /// reproduce [`serial_model_cycles`]' aggregate exactly.
     #[test]
     fn assembled_record_matches_the_naive_walk() {
         // Repeat shapes on purpose: layers 0/2 share (shape, a_bits) and
         // dedup in analytic mode; the W4 override forces its own group.
-        let net = NetworkModel {
+        let dups = NetworkModel {
             name: "dup-heavy".into(),
             layers: vec![
                 LayerShape::new("a0", 64, 784, 576, 1),
@@ -779,26 +794,34 @@ mod tests {
             ]
             .into(),
         };
+        // `Iterator::sum` over `f64` folds from −0.0: so must the record.
+        let empty = NetworkModel {
+            name: "empty".into(),
+            layers: Vec::new().into(),
+        };
         let engines = [
             opt4e(),
             EngineSpec::dense(PeStyle::TraditionalMac, ClassicArch::Tpu, 1.0),
         ];
-        for engine in &engines {
-            let price = engine.price().expect("paper clocks close timing");
-            for model in [CycleModel::Sampled, CycleModel::Analytic] {
-                let caps = SerialSampleCaps {
-                    model,
-                    ..SampleProfile::Quick.caps()
-                };
-                let cache = EngineCache::new();
-                let naive = evaluate_model_with(&cache, engine, &price, &net, 9, caps);
-                let rows = assemble_model_rows(&cache, engine, &price, &net, 9, caps);
-                let report = ModelReport::aggregate(net.name.as_str(), engine, &price, rows);
-                assert_eq!(report, naive, "{engine:?} {model:?}");
-                if matches!(engine.kind, ArchKind::Serial) {
-                    let mp = serial_config(engine).mp;
-                    let t = &report.totals;
-                    let (cycles, busy_frac) = serial_model_cycles(&cache, engine, &net, 9, caps);
+        for base in &engines {
+            for memory in crate::roster::memory_corners() {
+                let engine = base.clone().with_memory(memory);
+                for model in [CycleModel::Sampled, CycleModel::Analytic] {
+                    let caps = SerialSampleCaps {
+                        model,
+                        ..SampleProfile::Quick.caps()
+                    };
+                    let cache = EngineCache::new();
+                    for net in [&dups, &empty] {
+                        assert_walk_matches_naive(&cache, &engine, net, 9, caps);
+                    }
+                    if !matches!(engine.kind, ArchKind::Serial) || !memory.is_unbounded() {
+                        continue;
+                    }
+                    let price = engine.price().unwrap();
+                    let mp = serial_config(&engine).mp;
+                    let t = walk_model(&cache, &engine, &price, &dups, 9, caps, false).0;
+                    let (cycles, busy_frac) = serial_model_cycles(&cache, &engine, &dups, 9, caps);
                     assert_eq!(t.cycles.to_bits(), cycles.to_bits());
                     assert_eq!(
                         (t.busy_sum / (t.cycles * mp as f64)).to_bits(),
@@ -808,6 +831,19 @@ mod tests {
                 }
             }
         }
+        let price = opt4e().price().unwrap();
+        let cache = EngineCache::new();
+        let t = walk_model(
+            &cache,
+            &opt4e(),
+            &price,
+            &empty,
+            9,
+            MODEL_SAMPLE_CAPS,
+            false,
+        )
+        .0;
+        assert!(t.cycles.is_sign_negative() && t.delay_us == 0.0 && t.total_macs == 0);
     }
 
     /// In analytic mode the walk schedules each distinct (shape, a_bits)
@@ -827,13 +863,13 @@ mod tests {
         let engine = opt4e();
         let price = engine.price().unwrap();
         let cache = EngineCache::new();
-        assemble_model_rows(&cache, &engine, &price, &net, 3, caps);
+        walk_model(&cache, &engine, &price, &net, 3, caps, false);
         let stats = cache.stats();
         assert_eq!(cache.cycles_len(), 1, "six identical layers, one entry");
         assert_eq!(
             (stats.cycle_lookups, stats.cycle_misses),
             (1, 1),
-            "the local group map must absorb the other five lookups"
+            "the walk's shape scan must absorb the other five lookups"
         );
     }
 
@@ -841,14 +877,15 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10))]
 
         /// Property form of the equivalence: random small networks (with
-        /// deliberate shape repetition and random per-layer precision
-        /// overrides), both cycle models, every precision preset — the
-        /// dedup'd assembly reproduces the naive walk bit for bit.
+        /// deliberate shape repetition, random per-layer precision
+        /// overrides and the empty network), both cycle models, every
+        /// precision preset and every memory corner — the model walk's
+        /// stored record and rows reproduce the naive walk bit for bit.
         #[test]
         fn assembly_equivalence_holds_for_random_networks(
             shapes in proptest::collection::vec(
                 (1usize..32, 1usize..48, 1usize..64, 1usize..3, 0u8..4),
-                1..5,
+                0..5,
             ),
             dup in proptest::bool::ANY,
             seed in 0u64..500,
@@ -867,10 +904,10 @@ mod tests {
                     }
                 })
                 .collect();
-            if dup {
+            if let (true, Some(first)) = (dup, layers.first()) {
                 // Re-append the first layer under a new name: same shape
                 // and override, different per-layer seed.
-                let mut copy = layers[0].clone();
+                let mut copy = first.clone();
                 copy.name = "dup".into();
                 layers.push(copy);
             }
@@ -880,27 +917,20 @@ mod tests {
                 EngineSpec::serial(PeStyle::Opt3, EncodingKind::Csd, 2.0),
                 EngineSpec::dense(PeStyle::TraditionalMac, ClassicArch::Tpu, 1.0),
             ] {
-                let price = engine.price().expect("paper clocks close timing");
                 for model in [CycleModel::Sampled, CycleModel::Analytic] {
                     for precision in [Precision::W4, Precision::W8, Precision::W16] {
-                        let engine = engine.clone().with_precision(precision);
                         let caps = SerialSampleCaps {
                             model,
                             ..SampleProfile::Quick.caps_for(precision)
                         };
+                        // One cache across the corners: the cycle model
+                        // never sees the memory corner.
                         let cache = EngineCache::new();
-                        let naive =
-                            evaluate_model_with(&cache, &engine, &price, &net, seed, caps);
-                        let rows =
-                            assemble_model_rows(&cache, &engine, &price, &net, seed, caps);
-                        proptest::prop_assert_eq!(
-                            ModelReport::aggregate("prop", &engine, &price, rows),
-                            naive,
-                            "{:?} {:?} {:?}",
-                            engine.style,
-                            model,
-                            precision
-                        );
+                        for memory in crate::roster::memory_corners() {
+                            let engine =
+                                engine.clone().with_precision(precision).with_memory(memory);
+                            assert_walk_matches_naive(&cache, &engine, &net, seed, caps);
+                        }
                     }
                 }
             }
@@ -1002,13 +1032,13 @@ mod tests {
         let price = base.price().unwrap();
         let cache = EngineCache::new();
         let s = schedule_layer_with(&cache, &base, &layer, 0, MODEL_SAMPLE_CAPS);
-        let free = layer_row(&base, &price, &layer, s);
+        let free = layer_cost(&base, &price, &layer, s);
         assert_eq!(free.bound, Bound::Compute);
         assert!(free.bytes_moved > 0.0);
         assert!(free.intensity_ops_per_byte > 0.0);
 
         let edge = base.clone().with_memory(MemorySpec::edge());
-        let bounded = layer_row(&edge, &price, &layer, s);
+        let bounded = layer_cost(&edge, &price, &layer, s);
         assert!(
             bounded.delay_us > free.delay_us,
             "edge corner must stretch the fat layer: {} vs {}",

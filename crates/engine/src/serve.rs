@@ -60,7 +60,9 @@
 //! **in request order** before they touch the socket. Reordering can
 //! therefore never be observed on the wire — on a 1-core box the pool
 //! proves ordering rather than speedup, and the batched==sequential
-//! byte-identity property holds at any pool size.
+//! byte-identity property holds at any pool size. A request whose
+//! evaluation panics is answered with an `"ok":false` internal error; its
+//! worker survives, so one request cannot shrink the pool.
 //!
 //! All connections evaluate through the same [`EngineCache`], so a mixed
 //! batch converges to all-hit steady state no matter how clients shard
@@ -1071,8 +1073,18 @@ pub fn serve(
                 // evaluates and answers.
                 obs.queue_wait_ns.record_duration(submitted.elapsed());
                 let eval_start = Instant::now();
-                let (lines, _, class) =
-                    handle_request_classified(&line, cache, ops, config.cycle_model, obs.registry);
+                // A panicking request answers with a typed error instead of
+                // killing its worker (and the scope re-raising at shutdown).
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    handle_request_classified(&line, cache, ops, config.cycle_model, obs.registry)
+                }));
+                let (lines, class) = match outcome {
+                    Ok((lines, _, class)) => (lines, class),
+                    Err(_) => {
+                        let e = error_line(recover_id(&line), "internal error: request panicked");
+                        (vec![e], RequestClass::Other)
+                    }
+                };
                 // All metrics for this request land before its reply can
                 // reach the socket: a client that has read response N
                 // knows the counters cover requests 1..=N (and a

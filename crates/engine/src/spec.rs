@@ -300,12 +300,20 @@ impl EngineSpec {
     /// [`crate::roster::find`]; the default W8/unbounded stays suffix-free
     /// so every historical label (and seed derived from it) is unchanged.
     pub fn label(&self) -> String {
-        let mut label = self.seed_label();
-        if !self.memory.is_unbounded() {
-            label.push('@');
-            label.push_str(self.memory.name);
-        }
+        let mut label = String::new();
+        self.write_label(&mut label)
+            .expect("writing to a String cannot fail");
         label
+    }
+
+    /// Writes [`Self::label`] to `out` piece by piece, so a CSV row can
+    /// take the label without a string being built for it.
+    pub fn write_label(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        self.write_seed_label(out)?;
+        if !self.memory.is_unbounded() {
+            write!(out, "@{}", self.memory.name)?;
+        }
+        Ok(())
     }
 
     /// [`Self::label`] without the memory-corner suffix: the label that

@@ -11,7 +11,8 @@ use std::thread::JoinHandle;
 
 use proptest::prelude::*;
 use tpe_engine::serve::{
-    parse_flat_object, query_batch, serve, JsonValue, NoOps, ServeConfig, ServeObs, ServeOutcome,
+    parse_flat_object, query_batch, serve, BatchOps, Fields, JsonValue, NoOps, ServeConfig,
+    ServeObs, ServeOutcome,
 };
 use tpe_engine::EngineCache;
 use tpe_obs::Registry;
@@ -580,6 +581,81 @@ fn over_long_lines_are_rejected_and_the_server_survives() {
 
     shutdown(&addr);
     handle.join().unwrap().expect("serve loop");
+}
+
+/// An extension whose `boom` op panics, standing in for any evaluation
+/// bug a request can reach.
+struct PanicOps;
+
+impl BatchOps for PanicOps {
+    fn handle(
+        &self,
+        op: &str,
+        _fields: &Fields,
+        _cache: &EngineCache,
+    ) -> Option<Result<Vec<String>, String>> {
+        (op == "boom").then(|| panic!("injected panic"))
+    }
+}
+
+/// A panicking request answers with a typed error and leaves its worker
+/// alive: after more panics than the pool has workers, every worker still
+/// answers (a batch as wide as the pool, all in flight at once), the pool's
+/// accounting stays consistent, and `shutdown` still returns.
+#[test]
+fn a_panicking_request_leaves_the_pool_at_full_size() {
+    let cache: &'static EngineCache = &*Box::leak(Box::new(EngineCache::new()));
+    let registry: &'static Registry = &*Box::leak(Box::new(Registry::new()));
+    let obs: &'static ServeObs = &*Box::leak(Box::new(ServeObs::in_registry(registry)));
+    let config = pool_config();
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let handle = std::thread::spawn(move || serve(listener, cache, &PanicOps, config, obs, None));
+
+    // Twice as many panics as workers; a raw socket with a read timeout so
+    // a dead pool fails the test instead of hanging it.
+    let booms = 2 * config.threads;
+    let mut raw = std::net::TcpStream::connect(&addr).expect("connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("timeout");
+    for id in 0..booms {
+        writeln!(raw, r#"{{"id":{id},"op":"boom"}}"#).expect("write");
+    }
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    for id in 0..booms {
+        let mut reply = String::new();
+        reader
+            .read_line(&mut reply)
+            .expect("every panic is answered");
+        assert!(
+            reply.starts_with(&format!(
+                "{{\"id\":{id},\"ok\":false,\"error\":\"internal error"
+            )),
+            "{reply}"
+        );
+    }
+    let pool_wide: Vec<String> = (0..config.threads)
+        .map(|id| format!(r#"{{"id":{id},"op":"roster"}}"#))
+        .collect();
+    for line in &pool_wide {
+        writeln!(raw, "{line}").expect("write");
+    }
+    for _ in &pool_wide {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("the full pool answers");
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+    }
+    raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+
+    shutdown(&addr);
+    handle
+        .join()
+        .expect("shutdown does not re-raise the panics")
+        .expect("serve loop");
+    let total = (booms + config.threads + 1) as u64;
+    assert_eq!(obs.eval_ns.snapshot().count(), total);
+    assert_eq!(obs.other_requests.get(), booms as u64);
+    assert_eq!(obs.inflight.get(), 0, "in-flight gauge must return to 0");
 }
 
 proptest! {
